@@ -12,8 +12,11 @@ Layout (all integers little-endian):
         name (u16 length + utf-8), dims u32 x4, payload f32 little-endian
     crc32 u32 of every preceding byte
 
-Parameters are stored in float32; loading converts back to float64, so a
-save -> load -> save round trip is byte-stable.
+Parameters and running statistics are stored in float32, the dtype the
+network trains and infers in, so a save -> load -> save round trip is
+byte-stable. `load` builds a float32 network and requires every tensor of
+the saved topology exactly once, with no trailing bytes; anything else is a
+`DataError`.
 """
 
 from __future__ import annotations
@@ -99,23 +102,34 @@ def load(path: str) -> Network:
     widths = [r.unpack("<I")[0] for _ in range(n_widths)]
     weights = np.frombuffer(r.take(8 * classes), dtype="<f8").copy()
 
-    net = build(variant, widths, classes, Rng(0), in_channels=in_channels, kernel=kernel)
+    net = build(variant, widths, classes, Rng(0), in_channels=in_channels, kernel=kernel,
+                dtype=np.float32)
     net.class_weights = ClassWeights(weights)
     params = dict(named_parameters(net))
     buffers = dict(named_buffers(net))
+    expected = {name: t.shape for name, t in params.items()}
+    expected.update((name, (1, buf.size, 1, 1)) for name, buf in buffers.items())
+    seen: set[str] = set()
     (n_tensors,) = r.unpack("<I")
     for _ in range(n_tensors):
         name = r.string()
         shape = r.unpack("<IIII")
-        count = int(np.prod(shape))
-        arr = np.frombuffer(r.take(4 * count), dtype="<f4").astype(np.float64).reshape(shape)
-        if name in params:
-            if params[name].data.shape != shape:
-                raise DataError(f"{path}: tensor {name!r} shape {shape} does not match topology")
-            params[name].data = arr
-        elif name in buffers:
-            buffers[name][...] = arr.reshape(-1)
-        else:
+        if name not in expected:
             raise DataError(f"{path}: unknown tensor {name!r}")
+        if name in seen:
+            raise DataError(f"{path}: tensor {name!r} appears twice")
+        if shape != expected[name]:
+            raise DataError(f"{path}: tensor {name!r} shape {shape} does not match topology")
+        seen.add(name)
+        arr = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").astype(np.float32)
+        if name in params:
+            params[name].data = arr.reshape(shape)
+        else:
+            buffers[name][...] = arr
+    missing = [name for name in expected if name not in seen]
+    if missing:
+        raise DataError(f"{path}: missing tensors {', '.join(missing)}")
+    if r.pos != len(r.raw):
+        raise DataError(f"{path}: {len(r.raw) - r.pos} trailing bytes after the tensors")
     net.set_mode("eval")
     return net

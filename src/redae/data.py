@@ -3,7 +3,9 @@
 On-disk formats are binary PGM (P5) for grayscale images and masks and binary
 PPM (P6) for RGB, all 8-bit with maxval 255. In memory an image is a float64
 (h, w, channels) array in [0, 1]; a mask is a uint8 (h, w) array with labels
-{0, 1, 2} = {background, muscle, tear}.
+{0, 1, 2} = {background, muscle, tear}. The pipeline stays in float64 so that
+its outputs are exact and byte-stable; a network converts its input to its
+own compute dtype (float32 by default) at `network.forward`.
 """
 
 from __future__ import annotations

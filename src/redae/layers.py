@@ -1,9 +1,11 @@
 """Primitive network layers: convolution, batch norm, pooling, fusion, loss.
 
 All layers are pure functions over (input, params) that register their
-backward rule on the active tape. Pooling uses non-overlapping k x k windows
-with stride k; max-pooling memorizes per-window argmax offsets so the decoder
-can place values back exactly during unpooling.
+backward rule on the active tape. Every op computes and allocates its scratch
+buffers in its input's dtype (float32 or float64), with params in the same
+dtype, so nothing upcasts. Pooling uses non-overlapping k x k windows with
+stride k; max-pooling memorizes per-window argmax offsets so the decoder can
+place values back exactly during unpooling.
 """
 
 from __future__ import annotations
@@ -91,10 +93,11 @@ class BatchNormParams:
         c = self.gamma.shape[1]
         if self.beta.shape != self.gamma.shape:
             raise ShapeError("gamma/beta shape mismatch")
+        dtype = self.gamma.data.dtype  # running stats follow the params' dtype
         if self.running_mean is None:
-            self.running_mean = np.zeros(c)
+            self.running_mean = np.zeros(c, dtype)
         if self.running_var is None:
-            self.running_var = np.ones(c)
+            self.running_var = np.ones(c, dtype)
         if np.any(self.running_var < 0):
             raise NumericError("running variance must be nonnegative")
 
@@ -169,11 +172,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     if ph == 0 and pw == 0:
         xp = x.data
     else:
-        xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw))
+        xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x.data.dtype)
         xp[:, :, ph:ph + h, pw:pw + w] = x.data
     # im2col in (n, c_in * kp * kq, oh * ow) layout: one shifted-slice copy
     # per filter offset, never a strided transpose
-    cols = np.empty((n, c_in, kp * kq, oh, ow))
+    cols = np.empty((n, c_in, kp * kq, oh, ow), x.data.dtype)
     for i in range(kp):
         for j in range(kq):
             cols[:, :, i * kq + j] = xp[:, :, i:i + oh, j:j + ow]
@@ -193,7 +196,7 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
                 # grad wrt input: one GEMM back to column space, then
                 # scatter-add each filter offset into the padded input grad
                 gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, oh, ow)
-                gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw))
+                gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
                 for i in range(kp):
                     for j in range(kq):
                         gxp[:, :, i:i + oh, j:j + ow] += gxc[:, :, i * kq + j]
@@ -311,11 +314,11 @@ def _windows_2x2(data: np.ndarray) -> np.ndarray:
 def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Place values at their window offsets, zeros elsewhere (k=2)."""
     n, c, oh, ow = values.shape
-    out = np.zeros((n, c, oh * 2, ow * 2))
+    out = np.empty((n, c, oh * 2, ow * 2), values.dtype)
     view = out.reshape(n, c, oh, 2, ow, 2)
     for off in range(4):
-        sel = offsets == off
-        view[:, :, :, off // 2, :, off % 2][sel] = values[sel]
+        # a dense select per corner, not a boolean-mask scatter
+        view[:, :, :, off // 2, :, off % 2] = np.where(offsets == off, values, 0)
     return out
 
 
@@ -339,7 +342,8 @@ def max_pool(x: Tensor4, s: PoolSpec) -> tuple[Tensor4, PoolIndices]:
                 if k == 2:
                     x.accumulate_grad(_scatter_2x2(g, offsets))
                 else:
-                    gw = np.zeros(x.shape[:2] + (x.shape[2] // k, x.shape[3] // k, k * k))
+                    gw = np.zeros(x.shape[:2] + (x.shape[2] // k, x.shape[3] // k, k * k),
+                                  g.dtype)
                     np.put_along_axis(gw, offsets[..., None], g[..., None], axis=-1)
                     x.accumulate_grad(_window_unview(gw, k))
         return bwd
@@ -357,7 +361,7 @@ def max_unpool(y: Tensor4, idx: PoolIndices, s: PoolSpec) -> Tensor4:
     if k == 2:
         out = _scatter_2x2(y.data, idx.offsets)
     else:
-        win = np.zeros(y.shape + (k * k,))
+        win = np.zeros(y.shape + (k * k,), y.data.dtype)
         np.put_along_axis(win, idx.offsets[..., None], y.data[..., None], axis=-1)
         out = _window_unview(win, k)
 
@@ -393,7 +397,7 @@ def avg_pool(x: Tensor4, s: PoolSpec) -> Tensor4:
             if x.requires_grad:
                 gs = g / (k * k)
                 n, c, oh, ow = g.shape
-                gx = np.empty((n, c, oh * k, ow * k))
+                gx = np.empty((n, c, oh * k, ow * k), g.dtype)
                 view = gx.reshape(n, c, oh, k, ow, k)
                 for i in range(k):
                     for j in range(k):
@@ -483,7 +487,7 @@ def weighted_cross_entropy(probs: Tensor4, labels: np.ndarray, w: ClassWeights) 
     if labels.shape != (n, h, wdt):
         raise ShapeError(f"labels shape {labels.shape} does not match probs {probs.shape}")
 
-    pw = w.w[labels]  # (n, h, w)
+    pw = w.w.astype(probs.data.dtype)[labels]  # (n, h, w)
     total_w = pw.sum()
     p_label = np.take_along_axis(probs.data, labels[:, None], axis=1)[:, 0]
     with np.errstate(divide="ignore"):  # log(0) -> -inf; the caller handles it
@@ -493,9 +497,9 @@ def weighted_cross_entropy(probs: Tensor4, labels: np.ndarray, w: ClassWeights) 
         def bwd(g):
             if probs.requires_grad:
                 gs = g.reshape(-1)[0]
-                gp = np.zeros(probs.shape)
+                gp = np.zeros(probs.shape, g.dtype)
                 np.put_along_axis(gp, labels[:, None], (-gs * pw / (p_label * total_w))[:, None], axis=1)
                 probs.accumulate_grad(gp)
         return bwd
 
-    return make_op_output(np.array(loss).reshape(1, 1, 1, 1), (probs,), build)
+    return make_op_output(loss.reshape(1, 1, 1, 1), (probs,), build)

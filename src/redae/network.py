@@ -11,6 +11,10 @@ Four variants share the conv/BN/ReLU trunk and differ in their pooling path:
 
 Decoders run in reverse encoder order: the first decoder consumes the
 indices of the last encoder.
+
+A network computes in one dtype, fixed by `build`: float32 for training and
+inference, float64 for gradient checks. `forward` converts its input to that
+dtype once, so callers may pass the float64 arrays of the data pipeline.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .layers import (BatchNormParams, ClassWeights, ConvParams, PoolSpec,
                      avg_pool, avg_upsample, batch_norm, concat_channels,
                      conv2d, max_pool, max_unpool, relu, softmax_pixels,
                      weighted_cross_entropy)
-from .tensor import Rng, Tensor4, zeros
+from .tensor import FLOAT_DTYPES, Rng, Tensor4, astype
 
 VARIANTS = ("re-dae", "sa-re-dae", "max-only", "avg-only")
 
@@ -58,6 +62,11 @@ class Network:
     class_weights: ClassWeights = field(default_factory=lambda: ClassWeights.unit(3))
 
     @property
+    def dtype(self) -> np.dtype:
+        """Compute dtype of every parameter, buffer, activation and grad."""
+        return self.head.filters.data.dtype
+
+    @property
     def hybrid(self) -> bool:
         return self.variant in ("re-dae", "sa-re-dae")
 
@@ -66,14 +75,17 @@ class Network:
             blk.bn.mode = mode
 
 
-def _he_conv(rng: Rng, c_in: int, c_out: int, k: int, padding: str = "same") -> ConvParams:
+def _param(values: np.ndarray, dtype) -> Tensor4:
+    return Tensor4(values.astype(dtype), requires_grad=True, validate=False)
+
+
+def _he_conv(rng: Rng, c_in: int, c_out: int, k: int, dtype) -> ConvParams:
     std = np.sqrt(2.0 / (c_in * k * k))
-    filters = Tensor4(rng.normal((c_out, c_in, k, k), std), requires_grad=True, validate=False)
-    bias = zeros((1, c_out, 1, 1), requires_grad=True)
-    return ConvParams(filters, bias, padding)
+    return ConvParams(_param(rng.normal((c_out, c_in, k, k), std), dtype),
+                      _param(np.zeros((1, c_out, 1, 1)), dtype), "same")
 
 
-def _blend_fuse(rng: Rng, c: int) -> ConvParams:
+def _blend_fuse(rng: Rng, c: int, dtype) -> ConvParams:
     """1x1 fusion conv over a (branch_a, branch_b) channel concat.
 
     Initialized to average the two branches channel-for-channel (plus small
@@ -85,20 +97,23 @@ def _blend_fuse(rng: Rng, c: int) -> ConvParams:
     for j in range(c):
         w[j, j, 0, 0] += 0.5
         w[j, c + j, 0, 0] += 0.5
-    filters = Tensor4(w, requires_grad=True, validate=False)
-    bias = zeros((1, c, 1, 1), requires_grad=True)
-    return ConvParams(filters, bias, "same")
+    return ConvParams(_param(w, dtype), _param(np.zeros((1, c, 1, 1)), dtype), "same")
 
 
-def _bn(c: int) -> BatchNormParams:
-    from .tensor import full
-    return BatchNormParams(gamma=full((1, c, 1, 1), 1.0, requires_grad=True),
-                           beta=zeros((1, c, 1, 1), requires_grad=True))
+def _bn(c: int, dtype) -> BatchNormParams:
+    return BatchNormParams(gamma=_param(np.ones((1, c, 1, 1)), dtype),
+                           beta=_param(np.zeros((1, c, 1, 1)), dtype))
 
 
 def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
-          kernel: int = 3, pool_k: int = 2) -> Network:
-    """Construct a network with He-initialized filters, deterministic per seed."""
+          kernel: int = 3, pool_k: int = 2, dtype=np.float32) -> Network:
+    """Construct a network with He-initialized filters, deterministic per seed.
+
+    Parameters, batch-norm running statistics and (via `OptimizerState`) the
+    optimizer velocities are all created in `dtype`. The initial values are
+    drawn in float64 and rounded, so a float32 and a float64 build of the
+    same seed start from the same point to float32 resolution.
+    """
     if variant not in VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     channels = tuple(int(c) for c in channels)
@@ -107,13 +122,16 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
     if classes < 2:
         raise ShapeError(f"need at least 2 classes, got {classes}")
     hybrid = variant in ("re-dae", "sa-re-dae")
+    dtype = np.dtype(dtype)
+    if dtype not in FLOAT_DTYPES:
+        raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
 
     encoders: list[EncoderBlock] = []
     c_prev = in_channels
     for c in channels:
-        fuse = _blend_fuse(rng, c) if hybrid else None
-        encoders.append(EncoderBlock(conv=_he_conv(rng, c_prev, c, kernel),
-                                     bn=_bn(c), pool=PoolSpec(pool_k), fuse=fuse))
+        fuse = _blend_fuse(rng, c, dtype) if hybrid else None
+        encoders.append(EncoderBlock(conv=_he_conv(rng, c_prev, c, kernel, dtype),
+                                     bn=_bn(c, dtype), pool=PoolSpec(pool_k), fuse=fuse))
         c_prev = c
 
     # decoders[0] mirrors encoders[-1]; the mirror of encoder 0 keeps width
@@ -122,11 +140,11 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
     for i in reversed(range(len(channels))):
         c = channels[i]
         c_out = channels[i - 1] if i > 0 else channels[0]
-        fuse = _blend_fuse(rng, c) if hybrid else None
-        decoders.append(DecoderBlock(fuse=fuse, conv=_he_conv(rng, c, c_out, kernel),
-                                     bn=_bn(c_out), pool=PoolSpec(pool_k)))
+        fuse = _blend_fuse(rng, c, dtype) if hybrid else None
+        decoders.append(DecoderBlock(fuse=fuse, conv=_he_conv(rng, c, c_out, kernel, dtype),
+                                     bn=_bn(c_out, dtype), pool=PoolSpec(pool_k)))
 
-    head = _he_conv(rng, channels[0], classes, 1)
+    head = _he_conv(rng, channels[0], classes, 1, dtype)
     return Network(variant=variant, in_channels=in_channels, widths=channels,
                    classes=classes, kernel=kernel, encoders=encoders,
                    decoders=decoders, head=head,
@@ -167,7 +185,7 @@ def parameter_count(net: Network) -> int:
 
 
 def forward(net: Network, x: Tensor4) -> Tensor4:
-    """Full-resolution class logits (n, classes, h, w)."""
+    """Full-resolution class logits (n, classes, h, w), in the network's dtype."""
     n, c, h, w = x.shape
     if c != net.in_channels:
         raise ShapeError(f"forward: input has {c} channels, network expects {net.in_channels}")
@@ -178,7 +196,7 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
             "use data.pad_to_multiple before inference")
 
     indices = []
-    t = x
+    t = astype(x, net.dtype)
     for enc in net.encoders:
         t = relu(batch_norm(conv2d(t, enc.conv), enc.bn))
         if net.variant == "avg-only":

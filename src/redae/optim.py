@@ -12,7 +12,7 @@ from . import metrics as M
 from .data import Sample, crop_mask, pad_to_multiple
 from .errors import ConfigError, NumericError
 from .network import (Network, loss as net_loss, median_frequency_weights,
-                      named_parameters, predict)
+                      named_buffers, named_parameters, predict)
 from .tensor import Rng, Tape, Tensor4, backward
 
 
@@ -39,7 +39,7 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Per-parameter velocity buffers, zero-initialized."""
+    """Per-parameter velocity buffers, zero-initialized in each parameter's dtype."""
 
     def __init__(self, params: list[tuple[str, Tensor4]]):
         self.velocity = {name: np.zeros_like(t.data) for name, t in params}
@@ -47,16 +47,25 @@ class OptimizerState:
 
 def sgdm_step(params: list[tuple[str, Tensor4]], state: OptimizerState,
               cfg: TrainConfig) -> None:
-    """Classical momentum update: v <- mu*v - lr*g; w <- w + v."""
+    """Classical momentum update: v <- mu*v - lr*g; w <- w + v.
+
+    All or nothing: every new velocity and weight is computed and checked
+    before any is written, so a raise leaves parameters and velocities as
+    they were.
+    """
+    updates = []
     for name, t in params:
         if t.grad is None:
             raise NumericError(f"parameter {name!r} has no gradient")
-        v = state.velocity[name]
-        v *= cfg.momentum
+        v = cfg.momentum * state.velocity[name]
         v -= cfg.learning_rate * t.grad
-        if not np.all(np.isfinite(v)):
-            raise NumericError(f"non-finite velocity for parameter {name!r}")
-        t.data += v
+        w = t.data + v
+        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(w))):
+            raise NumericError(f"non-finite update for parameter {name!r}")
+        updates.append((name, t, v, w))
+    for name, t, v, w in updates:
+        state.velocity[name] = v
+        t.data = w
 
 
 @dataclass
@@ -93,8 +102,9 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     """Train in place; returns the network in eval mode plus the log.
 
     Static-attention weights are computed once from the training split before
-    the first epoch (sa-re-dae only). A NaN/Inf loss aborts after restoring
-    the parameters of the last good step.
+    the first epoch (sa-re-dae only). A step is all or nothing: a NaN/Inf
+    loss or update raises `NumericError` with the parameters, velocities and
+    batch-norm running statistics of the last good step.
     """
     if not train_set:
         raise ConfigError("training set is empty")
@@ -106,9 +116,9 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
         net.class_weights = median_frequency_weights([s.mask for s in padded], net.classes)
 
     params = named_parameters(net)
+    buffers = [buf for _, buf in named_buffers(net)]
     state = OptimizerState(params)
     order_rng = Rng([cfg.seed, 0x0D0E])
-    last_good = {name: t.data.copy() for name, t in params}
     t0 = time.monotonic()
     step_no = 0
 
@@ -120,21 +130,25 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
         for lo in range(0, len(order), cfg.batch_size):
             batch = [padded[i] for i in order[lo:lo + cfg.batch_size]]
             x, labels = _batch_tensors(batch)
-            with Tape():
-                l = net_loss(net, x, labels)
-                lv = l.item()
-                if not np.isfinite(lv):
-                    for name, t in params:
-                        t.data[...] = last_good[name]
-                    raise NumericError(
-                        f"non-finite loss {lv} at epoch {epoch} step {step_no}; "
-                        "parameters restored to the last good step")
-                backward(l)
-            sgdm_step(params, state, cfg)
+            # the forward pass updates the running stats in place; parameters
+            # change only in sgdm_step, which writes nothing when it raises
+            stats = [buf.copy() for buf in buffers]
+            try:
+                with Tape():
+                    l = net_loss(net, x, labels)
+                    lv = l.item()
+                    if not np.isfinite(lv):
+                        raise NumericError(f"non-finite loss {lv}")
+                    backward(l)
+                sgdm_step(params, state, cfg)
+            except NumericError as e:
+                for buf, saved in zip(buffers, stats):
+                    buf[...] = saved
+                raise NumericError(
+                    f"{e} at epoch {epoch} step {step_no}; parameters and "
+                    "running statistics restored to the last good step") from e
             for _, t in params:
                 t.zero_grad()
-            for name, t in params:
-                last_good[name][...] = t.data
             step_no += 1
             log.steps.append((epoch, step_no, lv, time.monotonic() - t0))
 

@@ -1,13 +1,18 @@
 """Dense rank-4 tensors with tape-based reverse-mode differentiation.
 
 Everything in the engine is a `Tensor4` with shape (batch, channel, height,
-width), backed by a float64 numpy array. Gradients are computed by recording
-primitive operations on a `Tape` (define-by-run) and replaying it in reverse.
-A tape is created per forward pass and consumed by a single `backward` call.
+width), backed by a float32 or float64 numpy array. A tensor keeps the float
+dtype it is given (anything else becomes float64), and every op computes in
+its inputs' dtype, so a float32 network stays float32 from input to
+gradient. Gradients are computed by recording primitive operations on a
+`Tape` (define-by-run) and replaying it in reverse. A tape is created per
+forward pass and consumed by a single `backward` call; the active tape is
+per thread (and per asyncio task).
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -15,15 +20,18 @@ import numpy as np
 from .errors import AutodiffError, NumericError, ShapeError
 
 Shape4 = tuple[int, int, int, int]
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor4:
-    """A (n, c, h, w) array of float64 values with an optional grad buffer."""
+    """A (n, c, h, w) float32/float64 array with an optional grad buffer."""
 
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, validate: bool = True):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype not in FLOAT_DTYPES:
+            arr = arr.astype(np.float64)
         if arr.ndim != 4:
             raise ShapeError(f"Tensor4 requires 4 dimensions, got shape {arr.shape}")
         if validate:
@@ -48,15 +56,15 @@ class Tensor4:
     def accumulate_grad(self, g: np.ndarray, own: bool = False) -> None:
         """Add `g` to the stored gradient.
 
-        `own=True` promises that `g` is a freshly allocated float64 array the
-        caller will not touch again, letting the first accumulation adopt it
-        without a defensive copy.
+        The grad always has the tensor's own dtype. `own=True` promises that
+        `g` is a freshly allocated array the caller will not touch again,
+        letting the first accumulation adopt it without a defensive copy.
         """
         if self.grad is None:
-            if own and g.dtype == np.float64 and g.shape == self.data.shape:
+            if own and g.dtype == self.data.dtype and g.shape == self.data.shape:
                 self.grad = g
                 return
-            self.grad = np.array(g, dtype=np.float64)  # copy: g may be shared
+            self.grad = np.array(g, dtype=self.data.dtype)  # copy: g may be shared
             if self.grad.shape != self.data.shape:
                 self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
@@ -113,13 +121,14 @@ class Tape:
     def __init__(self):
         self._ops: list[tuple[Tensor4, Callable[[np.ndarray], None]]] = []
         self._consumed = False
+        self._token = None
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        _TAPE_STACK.pop()
+        _ACTIVE_TAPE.reset(self._token)
         return False
 
     def record(self, out: Tensor4, backward_fn: Callable[[np.ndarray], None]) -> None:
@@ -127,11 +136,13 @@ class Tape:
         out._tape = self
 
 
-_TAPE_STACK: list[Tape] = []
+# innermost open tape; each thread starts with an empty context, so a tape
+# opened in one thread never records another thread's ops
+_ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("redae_active_tape", default=None)
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    return _ACTIVE_TAPE.get()
 
 
 def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
@@ -165,7 +176,7 @@ def backward(loss: Tensor4) -> None:
         raise AutodiffError("tape already consumed; run a new forward pass")
     if not tape._ops:
         raise AutodiffError("tape is empty")
-    loss.accumulate_grad(np.ones((1, 1, 1, 1)))
+    loss.accumulate_grad(np.ones_like(loss.data))
     for out, fn in reversed(tape._ops):
         if out.grad is not None:
             fn(out.grad)
@@ -175,6 +186,20 @@ def backward(loss: Tensor4) -> None:
 
 # ---------------------------------------------------------------------------
 # Elementwise primitives
+
+
+def astype(a: Tensor4, dtype) -> Tensor4:
+    """`a` converted to `dtype`; the gradient flows back in `a`'s own dtype."""
+    if a.data.dtype == dtype:
+        return a
+
+    def build():
+        def bwd(g):
+            if a.requires_grad:
+                a.accumulate_grad(g)
+        return bwd
+
+    return make_op_output(a.data.astype(dtype), (a,), build)
 
 
 def _binary_shapes(a: Tensor4, b: Tensor4, name: str) -> None:
@@ -296,14 +321,20 @@ class Rng:
 def grad_check(f: Callable[[Tensor4], Tensor4], x: Tensor4, eps: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `f` must be scalar-valued. Error is max over elements of
-    |analytic - numeric| / max(1, |numeric|).
+    `f` must be scalar-valued and computed in float64 from a float64 `x`
+    (build networks with `dtype=np.float64`): a float32 forward pass is too
+    coarse for central differences at this `eps`. Error is max over elements
+    of |analytic - numeric| / max(1, |numeric|).
     """
+    if x.data.dtype != np.float64:
+        raise AutodiffError(f"grad_check requires a float64 input, got {x.data.dtype}")
     with Tape():
         xt = Tensor4(x.data.copy(), requires_grad=True, validate=False)
         out = f(xt)
         if out.shape != (1, 1, 1, 1):
             raise AutodiffError(f"grad_check requires a scalar-valued f, got {out.shape}")
+        if out.data.dtype != np.float64:
+            raise AutodiffError(f"grad_check requires a float64 f, got {out.data.dtype}")
         backward(out)
     analytic = xt.grad if xt.grad is not None else np.zeros_like(x.data)
 

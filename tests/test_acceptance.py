@@ -57,7 +57,7 @@ def test_criterion_1_gradient_correctness():
         worst_by_case[name] = worst
     for trial in range(10):
         rng = Rng([0xACC2, trial])
-        net = N.build("sa-re-dae", (3, 4), 3, rng)
+        net = N.build("sa-re-dae", (3, 4), 3, rng, dtype=np.float64)
         labels = np.asarray(rng.integers(0, 3, (2, 8, 8)), dtype=np.int64)
         x = rng.tensor_normal((2, 1, 8, 8))
         worst_by_case["full_forward"] = max(

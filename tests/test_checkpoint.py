@@ -111,6 +111,54 @@ class TestIntegrity:
         with pytest.raises(DataError, match="version"):
             C.load(str(p))
 
+    @staticmethod
+    def _rewrite_tensors(p, edit):
+        """Re-encode the tensor records through `edit(records) -> (records,
+        tail)`, append `tail` and fix the CRC."""
+        import zlib
+        raw = p.read_bytes()[:-4]
+        (n,) = struct.unpack_from("<H", raw, 7)  # variant length, after magic + version
+        pos = 9 + n
+        _, _, classes, n_widths = struct.unpack_from("<IIII", raw, pos)
+        pos += 16 + 4 * n_widths + 8 * classes
+        head, (count,) = raw[:pos], struct.unpack_from("<I", raw, pos)
+        pos += 4
+        records = []
+        for _ in range(count):
+            (n,) = struct.unpack_from("<H", raw, pos)
+            shape = struct.unpack_from("<IIII", raw, pos + 2 + n)
+            end = pos + 2 + n + 16 + 4 * int(np.prod(shape))
+            records.append(raw[pos:end])
+            pos = end
+        assert pos == len(raw)
+        records, tail = edit(records)
+        body = head + struct.pack("<I", len(records)) + b"".join(records) + tail
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._rewrite_tensors(p, lambda ts: (ts[1:], b""))
+        with pytest.raises(DataError, match="missing tensors enc0.conv.filters"):
+            C.load(str(p))
+
+    def test_duplicate_tensor_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._rewrite_tensors(p, lambda ts: (ts + ts[:1], b""))
+        with pytest.raises(DataError, match="twice"):
+            C.load(str(p))
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._rewrite_tensors(p, lambda ts: (ts, b"\0" * 8))
+        with pytest.raises(DataError, match="trailing"):
+            C.load(str(p))
+
+    def test_rewrite_helper_round_trips(self, tmp_path):
+        p = self._saved(tmp_path)
+        before = p.read_bytes()
+        self._rewrite_tensors(p, lambda ts: (ts, b""))
+        assert p.read_bytes() == before
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             C.load(str(tmp_path / "absent.ckpt"))

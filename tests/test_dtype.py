@@ -1,0 +1,94 @@
+"""Dtype policy: a float32 network stays float32 end to end, nothing upcasts."""
+
+import numpy as np
+import pytest
+
+import redae.checkpoint as C
+import redae.layers as L
+import redae.network as N
+import redae.optim as O
+from redae.data import generate_phantoms
+from redae.errors import ConfigError
+from redae.tensor import Rng, Tape, Tensor4, backward
+
+
+@pytest.fixture
+def dtype_spy(monkeypatch):
+    """Records the dtype of every op output and every accumulated grad."""
+    seen = {"outputs": [], "grads": []}
+    make = L.make_op_output
+
+    def make_op_output(data, inputs, builder):
+        seen["outputs"].append(data.dtype)
+        return make(data, inputs, builder)
+
+    accumulate = Tensor4.accumulate_grad
+
+    def accumulate_grad(self, g, own=False):
+        seen["grads"].append(np.asarray(g).dtype)
+        return accumulate(self, g, own)
+
+    monkeypatch.setattr(L, "make_op_output", make_op_output)
+    monkeypatch.setattr(Tensor4, "accumulate_grad", accumulate_grad)
+    return seen
+
+
+def test_build_dtypes():
+    for dtype in (np.float32, np.float64):
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(0), dtype=dtype)
+        assert net.dtype == dtype
+        assert all(t.data.dtype == dtype for _, t in N.named_parameters(net))
+        assert all(b.dtype == dtype for _, b in N.named_buffers(net))
+    assert N.build("re-dae", (2, 3), 3, Rng(0)).dtype == np.float32  # the default
+    with pytest.raises(ConfigError):
+        N.build("re-dae", (2, 3), 3, Rng(0), dtype=np.float16)
+
+
+def test_float32_and_float64_builds_share_the_init():
+    a = N.build("sa-re-dae", (2, 3), 3, Rng(5))
+    b = N.build("sa-re-dae", (2, 3), 3, Rng(5), dtype=np.float64)
+    for (_, ta), (_, tb) in zip(N.named_parameters(a), N.named_parameters(b)):
+        assert np.array_equal(ta.data, tb.data.astype(np.float32))
+
+
+def test_train_step_stays_float32(dtype_spy):
+    net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+    net.class_weights = L.ClassWeights([0.5, 1.0, 4.0])
+    params = N.named_parameters(net)
+    state = O.OptimizerState(params)
+    x = Rng(2).tensor_normal((2, 1, 8, 8))  # float64, as the data pipeline makes it
+    labels = np.asarray(Rng(3).integers(0, 3, (2, 8, 8)), dtype=np.int64)
+    with Tape():
+        loss = N.loss(net, x, labels)
+        backward(loss)
+    assert loss.data.dtype == np.float32
+    O.sgdm_step(params, state, O.TrainConfig())
+    assert len(dtype_spy["outputs"]) > 30 and len(dtype_spy["grads"]) > 30
+    assert set(dtype_spy["outputs"]) == {np.dtype(np.float32)}
+    assert set(dtype_spy["grads"]) == {np.dtype(np.float32)}
+    for name, t in params:
+        assert t.data.dtype == np.float32 and t.grad.dtype == np.float32, name
+        assert state.velocity[name].dtype == np.float32, name
+    assert all(b.dtype == np.float32 for _, b in N.named_buffers(net))
+
+
+def test_load_and_evaluate_run_in_float32(tmp_path, dtype_spy):
+    samples = generate_phantoms(3, 32, 32, Rng(4))
+    path = str(tmp_path / "m.ckpt")
+    C.save(N.build("sa-re-dae", (2, 3), 3, Rng(4)), path)
+    net = C.load(path)
+    assert all(t.data.dtype == np.float32 for _, t in N.named_parameters(net))
+    assert all(b.dtype == np.float32 for _, b in N.named_buffers(net))
+    O.evaluate(net, samples)
+    assert dtype_spy["outputs"] and set(dtype_spy["outputs"]) == {np.dtype(np.float32)}
+    assert dtype_spy["grads"] == []  # inference records no tape
+
+
+def test_float64_network_stays_float64(dtype_spy):
+    net = N.build("re-dae", (2, 3), 3, Rng(6), dtype=np.float64)
+    x = Tensor4(np.ones((1, 1, 8, 8), dtype=np.float32))
+    labels = np.zeros((1, 8, 8), dtype=np.int64)
+    with Tape():
+        backward(N.loss(net, x, labels))
+    assert set(dtype_spy["outputs"]) == {np.dtype(np.float64)}
+    assert set(dtype_spy["grads"]) == {np.dtype(np.float64)}

@@ -154,6 +154,19 @@ class TestPoolingForward:
         with pytest.raises(ShapeError, match="pad"):
             L.max_pool(Tensor4(np.ones((1, 1, 3, 4))), L.PoolSpec(2))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_matches_per_window_loop(self, dtype):
+        rng = Rng(12)
+        values = rng.normal((2, 3, 4, 5)).astype(dtype)
+        offsets = np.asarray(rng.integers(0, 4, (2, 3, 4, 5)), dtype=np.int64)
+        ref = np.zeros((2, 3, 8, 10), dtype)
+        for idx in np.ndindex(values.shape):
+            n, c, i, j = idx
+            off = offsets[idx]
+            ref[n, c, 2 * i + off // 2, 2 * j + off % 2] = values[idx]
+        out = L._scatter_2x2(values, offsets)
+        assert out.dtype == dtype and np.array_equal(out, ref)
+
 
 class TestPoolingAlgebra:
     """Exact pooling laws on 1,000 seeded random tensors."""

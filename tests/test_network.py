@@ -97,7 +97,7 @@ class TestForward:
 
     @pytest.mark.parametrize("variant", N.VARIANTS)
     def test_full_network_gradient(self, variant):
-        net = small_net(variant)
+        net = N.build(variant, (4, 6), 3, Rng(0), dtype=np.float64)
         labels = np.asarray(Rng(6).integers(0, 3, (2, 8, 8)), dtype=np.int64)
 
         def f(t):

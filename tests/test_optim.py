@@ -58,6 +58,28 @@ class TestSgdmStep:
         O.sgdm_step(params, state, cfg)
         assert params[0][1].item() == pytest.approx(0.0)
 
+    def test_non_finite_update_writes_nothing(self):
+        a = from_values((1, 1, 1, 2), [1.0, 2.0], requires_grad=True)
+        b = from_values((1, 1, 1, 1), [3.0], requires_grad=True)
+        params = [("a", a), ("b", b)]
+        state = O.OptimizerState(params)
+        state.velocity["a"][...] = 0.5
+        a.accumulate_grad(np.ones((1, 1, 1, 2)))
+        b.accumulate_grad(np.full((1, 1, 1, 1), np.inf))
+        with pytest.raises(NumericError, match="'b'"):
+            O.sgdm_step(params, state, O.TrainConfig(learning_rate=0.1))
+        assert a.data.reshape(-1).tolist() == [1.0, 2.0]
+        assert state.velocity["a"].reshape(-1).tolist() == [0.5, 0.5]
+        assert b.item() == 3.0 and state.velocity["b"].item() == 0.0
+
+    def test_velocity_follows_parameter_dtype(self):
+        t = Tensor4(np.zeros((1, 1, 1, 2), dtype=np.float32), requires_grad=True)
+        params = [("w", t)]
+        state = O.OptimizerState(params)
+        t.accumulate_grad(np.ones((1, 1, 1, 2)))
+        O.sgdm_step(params, state, O.TrainConfig(learning_rate=0.1))
+        assert state.velocity["w"].dtype == np.float32 and t.data.dtype == np.float32
+
     def test_missing_gradient_names_parameter(self):
         params = self._param(0.0)
         state = O.OptimizerState(params)
@@ -122,12 +144,24 @@ class TestTrainLoop:
     def test_nan_abort_restores_parameters(self):
         samples = tiny_dataset(4)
         net = N.build("re-dae", (2, 3), 3, Rng(4))
+
+        def snapshot():
+            return [(name, t.data.copy()) for name, t in N.named_parameters(net)] + \
+                [(name, b.copy()) for name, b in N.named_buffers(net)]
+
+        class Steps(list):  # state after each good step
+            def append(self, item):
+                super().append(item)
+                last[:] = snapshot()
+
+        last = snapshot()
         # absurd learning rate blows the loss up to inf within a few steps
         cfg = tiny_cfg(learning_rate=1e8, epochs=50)
         with pytest.raises(NumericError, match="restored"):
-            O.train(net, samples, None, cfg)
-        for _, t in N.named_parameters(net):
-            assert np.all(np.isfinite(t.data))
+            O.train(net, samples, None, cfg, O.TrainLog(steps=Steps()))
+        # every parameter and buffer equals its value before the failing step
+        for (name, before), (_, now) in zip(last, snapshot()):
+            assert np.array_equal(before, now), name
 
     def test_val_metrics_logged_per_epoch(self):
         samples = tiny_dataset(6)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redae.errors import AutodiffError, NumericError, ShapeError
-from redae.tensor import (Rng, Tape, Tensor4, active_tape, add, backward,
+from redae.tensor import (Rng, Tape, Tensor4, active_tape, add, astype, backward,
                           from_values, full, grad_check, mul, scale, sub,
                           sum_all, zeros)
 
@@ -21,8 +21,21 @@ class TestTensor4:
             Tensor4(np.array([[[[np.nan]]]]))
 
     def test_float64_storage(self):
-        t = Tensor4(np.ones((1, 1, 2, 2), dtype=np.float32))
+        t = Tensor4(np.ones((1, 1, 2, 2), dtype=np.float64))
         assert t.data.dtype == np.float64
+        # non-float input (ints, nested lists) is stored as float64
+        assert Tensor4(np.ones((1, 1, 2, 2), dtype=np.int64)).data.dtype == np.float64
+        assert from_values((1, 1, 1, 2), [1, 2]).data.dtype == np.float64
+
+    def test_float32_storage_kept(self):
+        t = Tensor4(np.ones((1, 1, 2, 2), dtype=np.float32))
+        assert t.data.dtype == np.float32
+
+    def test_accumulate_grad_keeps_tensor_dtype(self):
+        t = Tensor4(np.zeros((1, 1, 2, 2), dtype=np.float32), requires_grad=True)
+        t.accumulate_grad(np.ones((1, 1, 2, 2)), own=True)  # float64 g, not adopted
+        t.accumulate_grad(np.ones((1, 1, 2, 2)))
+        assert t.grad.dtype == np.float32 and np.all(t.grad == 2.0)
 
     def test_constructors(self):
         assert zeros((1, 2, 3, 4)).shape == (1, 2, 3, 4)
@@ -78,6 +91,51 @@ class TestTape:
             backward(out)
             with pytest.raises(AutodiffError):
                 backward(out)
+
+    def test_tape_is_per_thread(self):
+        # a forward in thread B while thread A holds an open tape must not
+        # land on A's tape
+        import threading
+        a = full((1, 1, 1, 1), 2.0, requires_grad=True)
+        opened, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def thread_a():
+            with Tape() as tape:
+                opened.set()
+                done.wait(10)
+                seen["a_ops"] = len(tape._ops)
+
+        def thread_b():
+            opened.wait(10)
+            seen["b_tape"] = active_tape()
+            out = mul(a, a)
+            seen["b_tracked"] = out.requires_grad
+            done.set()
+
+        ta, tb = threading.Thread(target=thread_a), threading.Thread(target=thread_b)
+        ta.start()
+        tb.start()
+        ta.join(20)
+        tb.join(20)
+        assert not ta.is_alive() and not tb.is_alive()
+        assert seen == {"a_ops": 0, "b_tape": None, "b_tracked": False}
+
+    def test_astype_op_converts_and_routes_grad_back(self):
+        a = full((1, 1, 1, 1), 3.0, requires_grad=True)
+        assert astype(a, np.float64) is a
+        with Tape():
+            b = astype(a, np.float32)
+            assert b.data.dtype == np.float32
+            backward(sum_all(mul(b, b)))
+        assert a.grad.dtype == np.float64 and a.grad.item() == 6.0
+
+    def test_grad_check_requires_float64(self):
+        x32 = Tensor4(np.ones((1, 1, 2, 2), dtype=np.float32))
+        with pytest.raises(AutodiffError, match="float64"):
+            grad_check(sum_all, x32)
+        with pytest.raises(AutodiffError, match="float64"):
+            grad_check(lambda t: sum_all(astype(t, np.float32)), zeros((1, 1, 2, 2)))
 
     def test_grad_flows_through_shared_node(self):
         # loss = (a*a) + (a*a) => d/da = 4a
