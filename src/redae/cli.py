@@ -15,10 +15,10 @@ import numpy as np
 from . import checkpoint
 from . import metrics as M
 from .config import RunConfig
-from .data import (load_sample, read_dataset, write_dataset)
+from .data import N_CLASSES, read_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError, RedaeError
 from .network import build
-from .optim import TrainConfig, TrainLog, carve_validation, evaluate, train
+from .optim import TrainConfig, TrainLog, carve_validation, evaluate, segment, train
 from .pipeline import generate_dataset, overlay, preprocess
 from .tensor import Rng
 
@@ -63,8 +63,10 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_cfg = TrainConfig(**{**vars(train_cfg), "seed": args.seed})
 
+    if not manifest.train:
+        raise DataError(f"{args.data}: the train split is empty")
     in_channels = samples[manifest.train[0]].channels
-    net = build(variant, cfg.widths, cfg.classes, Rng(train_cfg.seed),
+    net = build(variant, cfg.widths, N_CLASSES, Rng(train_cfg.seed),
                 in_channels=in_channels)
 
     train_ids, val_ids = carve_validation(manifest.train, train_cfg.val_fraction,
@@ -90,9 +92,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     samples, manifest = read_dataset(args.data)
     ids = manifest.test if args.split == "test" else manifest.train
+    if not ids:
+        raise DataError(f"{args.data}: the {args.split} split is empty")
     subset = [samples[i] for i in ids]
     if args.oracle:
-        counts = M.ConfusionCounts(3)
+        counts = M.ConfusionCounts(N_CLASSES)
         for s in subset:
             M.accumulate(counts, s.mask, s.mask)
         report = M.compute_report(counts)
@@ -120,17 +124,11 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     net = checkpoint.load(args.ckpt)
     img = read_image_any(args.image)
-    from .data import Sample, crop_mask, pad_to_multiple, write_pgm, write_ppm
-    from .network import predict
-    from .tensor import Tensor4
-    s = Sample(image=img, mask=np.zeros(img.shape[:2], dtype=np.uint8), id="input")
-    if s.channels != net.in_channels:
+    from .data import write_pgm, write_ppm  # at call time, so perfbench can wrap them
+    if img.shape[2] != net.in_channels:
         raise DataError(f"checkpoint expects {net.in_channels}-channel images, "
-                        f"image has {s.channels}")
-    factor = net.encoders[0].pool.k ** len(net.encoders)
-    padded, crop = pad_to_multiple(s, factor)
-    x = Tensor4(padded.image.transpose(2, 0, 1)[None], validate=False)
-    mask = crop_mask(predict(net, x)[0], crop)
+                        f"image has {img.shape[2]}")
+    mask = segment(net, img)
     write_pgm(args.out + "_mask.pgm", mask)
     write_ppm(args.out + "_overlay.ppm", overlay(img, mask))
     print(f"wrote {args.out}_mask.pgm and {args.out}_overlay.ppm")

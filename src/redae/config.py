@@ -12,7 +12,6 @@ from .optim import TrainConfig
 DEFAULTS: dict[str, str] = {
     "variant": "sa-re-dae",  # sa-re-dae | re-dae | max-only | avg-only
     "widths": "16,32",  # per-encoder channel widths
-    "classes": "3",
     "learning_rate": "0.0001",
     "momentum": "0.9",
     "batch_size": "2",
@@ -94,7 +93,3 @@ class RunConfig:
         except ValueError:
             raise ConfigError(f"widths must be comma-separated ints, got "
                               f"{self.values['widths']!r}") from None
-
-    @property
-    def classes(self) -> int:
-        return int(self.values["classes"])

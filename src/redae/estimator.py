@@ -14,8 +14,8 @@ from .data import Sample
 from .errors import ConfigError, DataError
 from .metrics import dice_frac
 from .network import VARIANTS, build
-from .optim import TrainConfig, TrainLog, evaluate, train
-from .tensor import Rng, Tensor4
+from .optim import TrainConfig, TrainLog, evaluate, segment, train
+from .tensor import Rng
 
 
 def _as_image_array(X) -> np.ndarray:
@@ -87,16 +87,7 @@ class HybridPoolingSegmenter:
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
         X = _as_image_array(X)
-        from .data import crop_mask, pad_to_multiple
-        from .network import predict as net_predict
-        factor = self.network_.encoders[0].pool.k ** len(self.network_.encoders)
-        masks = []
-        for i in range(X.shape[0]):
-            s = Sample(image=X[i], mask=np.zeros(X.shape[1:3], dtype=np.uint8), id=f"pred{i}")
-            padded, crop = pad_to_multiple(s, factor)
-            x = Tensor4(padded.image.transpose(2, 0, 1)[None], validate=False)
-            masks.append(crop_mask(net_predict(self.network_, x)[0], crop))
-        return np.stack(masks)
+        return np.stack([segment(self.network_, img) for img in X])
 
     def score(self, X, y) -> float:
         """Mean per-class Dice over all classes, in [0, 1]."""

@@ -3,8 +3,9 @@
 All layers are pure functions over (input, params) that register their
 backward rule on the active tape. Every op computes and allocates its scratch
 buffers in its input's dtype (float32 or float64), with params in the same
-dtype, so nothing upcasts. Pooling uses non-overlapping k x k windows with
-stride k; max-pooling memorizes per-window argmax offsets so the decoder can
+dtype, so nothing upcasts. Every convolution zero-pads to keep the spatial
+size ("same"). Pooling uses the paper's non-overlapping 2x2 windows with
+stride 2; max-pooling memorizes per-window argmax offsets so the decoder can
 place values back exactly during unpooling.
 """
 
@@ -27,13 +28,10 @@ class ConvParams:
 
     filters: Tensor4
     bias: Tensor4  # stored as (1, c_out, 1, 1)
-    padding: str = "same"  # "same" zero-pads, "valid" shrinks
 
     def __post_init__(self):
         c_out, _c_in, p, q = self.filters.shape
-        if self.padding not in ("same", "valid"):
-            raise ShapeError(f"unknown padding {self.padding!r}")
-        if self.padding == "same" and (p % 2 == 0 or q % 2 == 0):
+        if p % 2 == 0 or q % 2 == 0:
             raise ShapeError(f"'same' padding requires odd filter dims, got {p}x{q}")
         if self.bias.shape != (1, c_out, 1, 1):
             raise ShapeError(f"bias shape {self.bias.shape} does not match {c_out} filters")
@@ -48,27 +46,15 @@ class ConvParams:
 
 
 @dataclass
-class PoolSpec:
-    """Non-overlapping pooling window: k x k with stride k."""
-
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ShapeError(f"pool window must be >= 1, got {self.k}")
-
-
-@dataclass
 class PoolIndices:
-    """Per-window argmax offsets (flat 0..k^2-1), shaped like the pooled map."""
+    """Per-window argmax offsets (flat 0..3, row-major), shaped like the pooled map."""
 
     offsets: np.ndarray  # int64, shape (n, c, oh, ow)
-    k: int
 
     def __post_init__(self):
         if self.offsets.ndim != 4:
             raise ShapeError(f"pool indices must be rank 4, got {self.offsets.shape}")
-        if self.offsets.size and int(self.offsets.max()) >= self.k * self.k:
+        if self.offsets.size and int(self.offsets.max()) >= 4:
             raise ShapeError("pool index offset out of window range")
 
 
@@ -161,32 +147,22 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     if kp == 1 and kq == 1:
         return _conv2d_1x1(x, p)
 
-    if p.padding == "same":
-        ph, pw = (kp - 1) // 2, (kq - 1) // 2
-    else:
-        ph = pw = 0
-        if h < kp or w < kq:
-            raise ShapeError(f"conv2d: input {h}x{w} smaller than filter {kp}x{kq}")
-    oh, ow = h + 2 * ph - kp + 1, w + 2 * pw - kq + 1
-
-    if ph == 0 and pw == 0:
-        xp = x.data
-    else:
-        xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x.data.dtype)
-        xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    # im2col in (n, c_in * kp * kq, oh * ow) layout: one shifted-slice copy
+    ph, pw = (kp - 1) // 2, (kq - 1) // 2
+    xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x.data.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x.data
+    # im2col in (n, c_in * kp * kq, h * w) layout: one shifted-slice copy
     # per filter offset, never a strided transpose
-    cols = np.empty((n, c_in, kp * kq, oh, ow), x.data.dtype)
+    cols = np.empty((n, c_in, kp * kq, h, w), x.data.dtype)
     for i in range(kp):
         for j in range(kq):
-            cols[:, :, i * kq + j] = xp[:, :, i:i + oh, j:j + ow]
-    cols = cols.reshape(n, c_in * kp * kq, oh * ow)
+            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
+    cols = cols.reshape(n, c_in * kp * kq, h * w)
     wmat = p.filters.data.reshape(c_out, c_in * kp * kq)
-    out = (wmat @ cols).reshape(n, c_out, oh, ow) + p.bias.data
+    out = (wmat @ cols).reshape(n, c_out, h, w) + p.bias.data
 
     def build():
         def bwd(g):
-            gr = g.reshape(n, c_out, oh * ow)
+            gr = g.reshape(n, c_out, h * w)
             if p.bias.requires_grad:
                 p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
             if p.filters.requires_grad:
@@ -195,14 +171,13 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
             if x.requires_grad:
                 # grad wrt input: one GEMM back to column space, then
                 # scatter-add each filter offset into the padded input grad
-                gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, oh, ow)
+                gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, h, w)
                 gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
                 for i in range(kp):
                     for j in range(kq):
-                        gxp[:, :, i:i + oh, j:j + ow] += gxc[:, :, i * kq + j]
-                gx = gxp if ph == 0 and pw == 0 else np.ascontiguousarray(
-                    gxp[:, :, ph:ph + h, pw:pw + w])
-                x.accumulate_grad(gx, own=True)
+                        gxp[:, :, i:i + h, j:j + w] += gxc[:, :, i * kq + j]
+                x.accumulate_grad(np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),
+                                  own=True)
         return bwd
 
     return make_op_output(out, (x, p.filters, p.bias), build)
@@ -278,28 +253,11 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 # Pooling
 
 
-def _window_view(data: np.ndarray, k: int) -> np.ndarray:
-    """Reshape (n,c,h,w) into (n,c,h/k,w/k,k*k) non-overlapping windows."""
-    n, c, h, w = data.shape
-    oh, ow = h // k, w // k
-    return np.ascontiguousarray(
-        data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, oh, ow, k * k)
-
-
-def _window_unview(win: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of `_window_view`."""
-    n, c, oh, ow, _ = win.shape
-    return np.ascontiguousarray(
-        win.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, oh * k, ow * k)
-
-
-def _check_divisible(x: Tensor4, k: int, name: str) -> None:
+def _check_divisible(x: Tensor4, name: str) -> None:
     _, _, h, w = x.shape
-    if h % k or w % k:
+    if h % 2 or w % 2:
         raise ShapeError(
-            f"{name}: spatial dims {h}x{w} not divisible by window {k}; "
+            f"{name}: spatial dims {h}x{w} not divisible by window 2; "
             "pad the input first (see data.pad_to_multiple)")
 
 
@@ -312,7 +270,7 @@ def _windows_2x2(data: np.ndarray) -> np.ndarray:
 
 
 def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Place values at their window offsets, zeros elsewhere (k=2)."""
+    """Place values at their window offsets, zeros elsewhere."""
     n, c, oh, ow = values.shape
     out = np.empty((n, c, oh * 2, ow * 2), values.dtype)
     view = out.reshape(n, c, oh, 2, ow, 2)
@@ -322,85 +280,52 @@ def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_pool(x: Tensor4, s: PoolSpec) -> tuple[Tensor4, PoolIndices]:
+def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
     """Window max with memorized argmax offsets; ties pick the lowest offset."""
-    k = s.k
-    _check_divisible(x, k, "max_pool")
-    if k == 2:
-        corners = _windows_2x2(x.data)
-        offsets = corners.argmax(axis=0)
-        vals = corners.max(axis=0)
-    else:
-        win = _window_view(x.data, k)
-        offsets = win.argmax(axis=-1)
-        vals = np.take_along_axis(win, offsets[..., None], axis=-1)[..., 0]
-    idx = PoolIndices(offsets.astype(np.int64), k)
+    _check_divisible(x, "max_pool")
+    corners = _windows_2x2(x.data)
+    offsets = corners.argmax(axis=0)
+    idx = PoolIndices(offsets.astype(np.int64))
 
     def build():
         def bwd(g):
             if x.requires_grad:
-                if k == 2:
-                    x.accumulate_grad(_scatter_2x2(g, offsets))
-                else:
-                    gw = np.zeros(x.shape[:2] + (x.shape[2] // k, x.shape[3] // k, k * k),
-                                  g.dtype)
-                    np.put_along_axis(gw, offsets[..., None], g[..., None], axis=-1)
-                    x.accumulate_grad(_window_unview(gw, k))
+                x.accumulate_grad(_scatter_2x2(g, offsets))
         return bwd
 
-    return make_op_output(vals, (x,), build), idx
+    return make_op_output(corners.max(axis=0), (x,), build), idx
 
 
-def max_unpool(y: Tensor4, idx: PoolIndices, s: PoolSpec) -> Tensor4:
+def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
     """Sparse up-sampling: each window gets y's value at the memorized offset."""
-    k = s.k
-    if k != idx.k:
-        raise ShapeError(f"max_unpool: window {k} differs from index window {idx.k}")
     if y.shape != idx.offsets.shape:
         raise ShapeError(f"max_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
-    if k == 2:
-        out = _scatter_2x2(y.data, idx.offsets)
-    else:
-        win = np.zeros(y.shape + (k * k,), y.data.dtype)
-        np.put_along_axis(win, idx.offsets[..., None], y.data[..., None], axis=-1)
-        out = _window_unview(win, k)
 
     def build():
         def bwd(g):
             if y.requires_grad:
-                if k == 2:
-                    corners = _windows_2x2(g)
-                    gy = np.choose(idx.offsets, corners)
-                else:
-                    gw = _window_view(g, k)
-                    gy = np.take_along_axis(gw, idx.offsets[..., None], axis=-1)[..., 0]
-                y.accumulate_grad(gy)
+                y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)))
         return bwd
 
-    return make_op_output(out, (y,), build)
+    return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), build)
 
 
-def avg_pool(x: Tensor4, s: PoolSpec) -> Tensor4:
+def avg_pool(x: Tensor4) -> Tensor4:
     """Window arithmetic mean."""
-    k = s.k
-    _check_divisible(x, k, "avg_pool")
-    if k == 2:
-        n, c, h, w = x.shape
-        a = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-        out = (a[:, :, :, 0, :, 0] + a[:, :, :, 0, :, 1]
-               + a[:, :, :, 1, :, 0] + a[:, :, :, 1, :, 1]) * 0.25
-    else:
-        out = _window_view(x.data, k).mean(axis=-1)
+    _check_divisible(x, "avg_pool")
+    n, c, h, w = x.shape
+    a = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    out = (a[:, :, :, 0, :, 0] + a[:, :, :, 0, :, 1]
+           + a[:, :, :, 1, :, 0] + a[:, :, :, 1, :, 1]) * 0.25
 
     def build():
         def bwd(g):
             if x.requires_grad:
-                gs = g / (k * k)
-                n, c, oh, ow = g.shape
-                gx = np.empty((n, c, oh * k, ow * k), g.dtype)
-                view = gx.reshape(n, c, oh, k, ow, k)
-                for i in range(k):
-                    for j in range(k):
+                gs = g / 4
+                gx = np.empty((n, c, h, w), g.dtype)
+                view = gx.reshape(n, c, h // 2, 2, w // 2, 2)
+                for i in range(2):
+                    for j in range(2):
                         view[:, :, :, i, :, j] = gs
                 x.accumulate_grad(gx)
         return bwd
@@ -408,16 +333,15 @@ def avg_pool(x: Tensor4, s: PoolSpec) -> Tensor4:
     return make_op_output(out, (x,), build)
 
 
-def avg_upsample(y: Tensor4, s: PoolSpec) -> Tensor4:
-    """Replicate each value across its k x k window (exact right-inverse of avg_pool)."""
-    k = s.k
-    out = np.repeat(np.repeat(y.data, k, axis=2), k, axis=3)
+def avg_upsample(y: Tensor4) -> Tensor4:
+    """Replicate each value across its 2x2 window (exact right-inverse of avg_pool)."""
+    out = np.repeat(np.repeat(y.data, 2, axis=2), 2, axis=3)
 
     def build():
         def bwd(g):
             if y.requires_grad:
                 n, c, h, w = g.shape
-                a = g.reshape(n, c, h // k, k, w // k, k)
+                a = g.reshape(n, c, h // 2, 2, w // 2, 2)
                 y.accumulate_grad(a.sum(axis=(3, 5)))
         return bwd
 

@@ -10,7 +10,9 @@ Four variants share the conv/BN/ReLU trunk and differ in their pooling path:
 * ``avg-only`` - average pooling and replication upsampling only.
 
 Decoders run in reverse encoder order: the first decoder consumes the
-indices of the last encoder.
+indices of the last encoder. Every pooling window is the paper's 2x2 with
+stride 2, so each encoder halves the spatial size and an input's height and
+width must be multiples of `Network.input_multiple` (4 for two encoders).
 
 A network computes in one dtype, fixed by `build`: float32 for training and
 inference, float64 for gradient checks. `forward` converts its input to that
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import (BatchNormParams, ClassWeights, ConvParams, PoolSpec,
-                     avg_pool, avg_upsample, batch_norm, concat_channels,
-                     conv2d, max_pool, max_unpool, relu, softmax_pixels,
+from .layers import (BatchNormParams, ClassWeights, ConvParams, avg_pool,
+                     avg_upsample, batch_norm, concat_channels, conv2d,
+                     max_pool, max_unpool, relu, softmax_pixels,
                      weighted_cross_entropy)
 from .tensor import FLOAT_DTYPES, Rng, Tensor4, astype
 
@@ -37,7 +39,6 @@ VARIANTS = ("re-dae", "sa-re-dae", "max-only", "avg-only")
 class EncoderBlock:
     conv: ConvParams
     bn: BatchNormParams
-    pool: PoolSpec
     fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
 
 
@@ -46,7 +47,6 @@ class DecoderBlock:
     fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
     conv: ConvParams
     bn: BatchNormParams
-    pool: PoolSpec
 
 
 @dataclass
@@ -67,6 +67,11 @@ class Network:
         return self.head.filters.data.dtype
 
     @property
+    def input_multiple(self) -> int:
+        """Input height and width must divide by this: each encoder halves them."""
+        return 2 ** len(self.encoders)
+
+    @property
     def hybrid(self) -> bool:
         return self.variant in ("re-dae", "sa-re-dae")
 
@@ -82,7 +87,7 @@ def _param(values: np.ndarray, dtype) -> Tensor4:
 def _he_conv(rng: Rng, c_in: int, c_out: int, k: int, dtype) -> ConvParams:
     std = np.sqrt(2.0 / (c_in * k * k))
     return ConvParams(_param(rng.normal((c_out, c_in, k, k), std), dtype),
-                      _param(np.zeros((1, c_out, 1, 1)), dtype), "same")
+                      _param(np.zeros((1, c_out, 1, 1)), dtype))
 
 
 def _blend_fuse(rng: Rng, c: int, dtype) -> ConvParams:
@@ -97,7 +102,7 @@ def _blend_fuse(rng: Rng, c: int, dtype) -> ConvParams:
     for j in range(c):
         w[j, j, 0, 0] += 0.5
         w[j, c + j, 0, 0] += 0.5
-    return ConvParams(_param(w, dtype), _param(np.zeros((1, c, 1, 1)), dtype), "same")
+    return ConvParams(_param(w, dtype), _param(np.zeros((1, c, 1, 1)), dtype))
 
 
 def _bn(c: int, dtype) -> BatchNormParams:
@@ -106,7 +111,7 @@ def _bn(c: int, dtype) -> BatchNormParams:
 
 
 def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
-          kernel: int = 3, pool_k: int = 2, dtype=np.float32) -> Network:
+          kernel: int = 3, dtype=np.float32) -> Network:
     """Construct a network with He-initialized filters, deterministic per seed.
 
     Parameters, batch-norm running statistics and (via `OptimizerState`) the
@@ -131,7 +136,7 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
     for c in channels:
         fuse = _blend_fuse(rng, c, dtype) if hybrid else None
         encoders.append(EncoderBlock(conv=_he_conv(rng, c_prev, c, kernel, dtype),
-                                     bn=_bn(c, dtype), pool=PoolSpec(pool_k), fuse=fuse))
+                                     bn=_bn(c, dtype), fuse=fuse))
         c_prev = c
 
     # decoders[0] mirrors encoders[-1]; the mirror of encoder 0 keeps width
@@ -142,7 +147,7 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
         c_out = channels[i - 1] if i > 0 else channels[0]
         fuse = _blend_fuse(rng, c, dtype) if hybrid else None
         decoders.append(DecoderBlock(fuse=fuse, conv=_he_conv(rng, c, c_out, kernel, dtype),
-                                     bn=_bn(c_out, dtype), pool=PoolSpec(pool_k)))
+                                     bn=_bn(c_out, dtype)))
 
     head = _he_conv(rng, channels[0], classes, 1, dtype)
     return Network(variant=variant, in_channels=in_channels, widths=channels,
@@ -189,7 +194,7 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
     n, c, h, w = x.shape
     if c != net.in_channels:
         raise ShapeError(f"forward: input has {c} channels, network expects {net.in_channels}")
-    factor = net.encoders[0].pool.k ** len(net.encoders)
+    factor = net.input_multiple
     if h % factor or w % factor:
         raise ShapeError(
             f"forward: spatial dims {h}x{w} must be divisible by {factor}; "
@@ -200,23 +205,23 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
     for enc in net.encoders:
         t = relu(batch_norm(conv2d(t, enc.conv), enc.bn))
         if net.variant == "avg-only":
-            t = avg_pool(t, enc.pool)
+            t = avg_pool(t)
         elif net.variant == "max-only":
-            t, idx = max_pool(t, enc.pool)
+            t, idx = max_pool(t)
             indices.append(idx)
         else:
-            mx, idx = max_pool(t, enc.pool)
+            mx, idx = max_pool(t)
             indices.append(idx)
-            t = conv2d(concat_channels(avg_pool(t, enc.pool), mx), enc.fuse)
+            t = conv2d(concat_channels(avg_pool(t), mx), enc.fuse)
 
     for i, dec in enumerate(net.decoders):
         if net.variant == "avg-only":
-            t = avg_upsample(t, dec.pool)
+            t = avg_upsample(t)
         elif net.variant == "max-only":
-            t = max_unpool(t, indices[-(i + 1)], dec.pool)
+            t = max_unpool(t, indices[-(i + 1)])
         else:
-            up = max_unpool(t, indices[-(i + 1)], dec.pool)
-            t = conv2d(concat_channels(up, avg_upsample(t, dec.pool)), dec.fuse)
+            up = max_unpool(t, indices[-(i + 1)])
+            t = conv2d(concat_channels(up, avg_upsample(t)), dec.fuse)
         t = relu(batch_norm(conv2d(t, dec.conv), dec.bn))
 
     return conv2d(t, net.head)

@@ -1,4 +1,9 @@
-"""SGD-with-momentum training loop and dataset evaluation."""
+"""SGD-with-momentum training loop, inference and dataset evaluation.
+
+`segment` is the one inference path: it pads an image to the network's input
+multiple, predicts and crops the mask back. `evaluate`, `redae predict` and
+the estimator all go through it.
+"""
 
 from __future__ import annotations
 
@@ -109,8 +114,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     if not train_set:
         raise ConfigError("training set is empty")
     log = log or TrainLog()
-    factor = net.encoders[0].pool.k ** len(net.encoders)
-    padded = [pad_to_multiple(s, factor)[0] for s in train_set]
+    padded = [pad_to_multiple(s, net.input_multiple)[0] for s in train_set]
 
     if net.variant == "sa-re-dae":
         net.class_weights = median_frequency_weights([s.mask for s in padded], net.classes)
@@ -183,6 +187,19 @@ def worker_threads() -> int:
     return os.cpu_count() or 1
 
 
+def segment(net: Network, image: np.ndarray) -> np.ndarray:
+    """Class mask (h, w) uint8 of one (h, w, c) image of any size.
+
+    The image is zero-padded right/bottom to `net.input_multiple`, predicted
+    as a batch of one, and the mask cropped back to (h, w). The network
+    should be in eval mode, as `train` and `checkpoint.load` leave it.
+    """
+    s = Sample(image=image, mask=np.zeros(image.shape[:2], dtype=np.uint8), id="segment")
+    padded, crop = pad_to_multiple(s, net.input_multiple)
+    x, _ = _batch_tensors([padded])
+    return crop_mask(predict(net, x)[0], crop)
+
+
 def evaluate(net: Network, samples: list[Sample]) -> tuple[M.MetricsReport, M.ConfusionCounts]:
     """Predict every sample and accumulate pixel confusion counts.
 
@@ -192,13 +209,9 @@ def evaluate(net: Network, samples: list[Sample]) -> tuple[M.MetricsReport, M.Co
     if not samples:
         raise ConfigError("evaluation set is empty")
     net.set_mode("eval")
-    factor = net.encoders[0].pool.k ** len(net.encoders)
 
     def score_one(s: Sample) -> M.ConfusionCounts:
-        padded, crop = pad_to_multiple(s, factor)
-        x, _ = _batch_tensors([padded])
-        pred = crop_mask(predict(net, x)[0], crop)
-        return M.accumulate(M.ConfusionCounts(net.classes), pred, s.mask)
+        return M.accumulate(M.ConfusionCounts(net.classes), segment(net, s.image), s.mask)
 
     threads = worker_threads()
     if threads > 1 and len(samples) > 1:

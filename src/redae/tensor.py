@@ -207,34 +207,6 @@ def _binary_shapes(a: Tensor4, b: Tensor4, name: str) -> None:
         raise ShapeError(f"{name}: shape mismatch {a.shape} vs {b.shape} (no broadcasting)")
 
 
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    _binary_shapes(a, b, "add")
-
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g)
-        return bwd
-
-    return make_op_output(a.data + b.data, (a, b), build)
-
-
-def sub(a: Tensor4, b: Tensor4) -> Tensor4:
-    _binary_shapes(a, b, "sub")
-
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(-g)
-        return bwd
-
-    return make_op_output(a.data - b.data, (a, b), build)
-
-
 def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     _binary_shapes(a, b, "mul")
 
@@ -247,18 +219,6 @@ def mul(a: Tensor4, b: Tensor4) -> Tensor4:
         return bwd
 
     return make_op_output(a.data * b.data, (a, b), build)
-
-
-def scale(a: Tensor4, s: float) -> Tensor4:
-    s = float(s)
-
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * s)
-        return bwd
-
-    return make_op_output(a.data * s, (a,), build)
 
 
 def sum_all(a: Tensor4) -> Tensor4:

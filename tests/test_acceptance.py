@@ -73,7 +73,6 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_pooling_algebra():
     """Exact pooling laws on 1,000 seeded random tensors, zero tolerance."""
-    s = L.PoolSpec(2)
     rng = Rng(0xACC3)
     checked = 0
     ok = True
@@ -82,11 +81,11 @@ def test_criterion_2_pooling_algebra():
         shape = (int(r.integers(1, 3)), int(r.integers(1, 4)),
                  2 * int(r.integers(1, 5)), 2 * int(r.integers(1, 5)))
         x = Tensor4(np.abs(r.normal(shape)))
-        y = L.avg_pool(x, s)
-        ok &= np.array_equal(L.avg_pool(L.avg_upsample(y, s), s).data, y.data)
-        mx, idx = L.max_pool(x, s)
-        up = L.max_unpool(mx, idx, s)
-        y2, _ = L.max_pool(up, s)
+        y = L.avg_pool(x)
+        ok &= np.array_equal(L.avg_pool(L.avg_upsample(y)).data, y.data)
+        mx, idx = L.max_pool(x)
+        up = L.max_unpool(mx, idx)
+        y2, _ = L.max_pool(up)
         ok &= np.array_equal(y2.data, mx.data)
         win = up.data.reshape(shape[0], shape[1], shape[2] // 2, 2,
                               shape[3] // 2, 2)

@@ -1,12 +1,14 @@
 """End-to-end command-line workflow and exit-code contract."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from redae.cli import main
-from redae.data import read_pgm, read_ppm
+from redae import HybridPoolingSegmenter, checkpoint, optim
+from redae.cli import main, read_image_any
+from redae.data import SplitManifest, read_pgm, read_ppm, write_pgm
 
 
 def run(capsys, *argv):
@@ -40,6 +42,17 @@ def workdir(tmp_path_factory):
                  "--variant", "sa-re-dae", "--out", ckpt]) == 0
     return {"root": root, "raw": raw, "prep": prep, "ckpt": ckpt,
             "cfg": str(cfg)}
+
+
+@pytest.fixture(scope="module")
+def test_only(workdir, tmp_path_factory):
+    """A copy of the raw dataset with every id in the test split."""
+    root = str(tmp_path_factory.mktemp("test_only") / "data")
+    shutil.copytree(workdir["raw"], root)
+    path = os.path.join(root, "split.manifest")
+    m = SplitManifest.load(path)
+    SplitManifest(train=[], test=m.train + m.test, seed=m.seed, ratio=m.ratio).save(path)
+    return root
 
 
 class TestGenerate:
@@ -96,6 +109,12 @@ class TestTrain:
         assert code == 2
         assert "epochz" in err
 
+    def test_empty_train_split_is_data_error(self, test_only, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--data", test_only,
+                           "--out", str(tmp_path / "m.ckpt"))
+        assert code == 3
+        assert err.startswith("error: data:") and "train split is empty" in err
+
 
 class TestEval:
     def test_report_table(self, workdir, capsys):
@@ -117,6 +136,13 @@ class TestEval:
     def test_requires_ckpt_or_oracle(self, workdir, capsys):
         code, _, err = run(capsys, "eval", "--data", workdir["prep"])
         assert code == 2
+
+    @pytest.mark.parametrize("oracle", [True, False])
+    def test_empty_split_is_data_error(self, workdir, test_only, capsys, oracle):
+        model = ["--oracle"] if oracle else ["--ckpt", workdir["ckpt"]]
+        code, _, err = run(capsys, "eval", "--data", test_only, "--split", "train", *model)
+        assert code == 3
+        assert err.startswith("error: data:") and "train split is empty" in err
 
 
 class TestPredict:
@@ -144,3 +170,27 @@ class TestPredict:
                            "--image", first, "--out", str(tmp_path / "p"))
         assert code == 3
         assert "CRC" in err
+
+    def test_odd_size_matches_segment_and_estimator(self, tmp_path, capsys):
+        # 30x45 pads to 32x48 and crops back; the CLI, the estimator and
+        # optim.segment must produce the same mask byte for byte
+        rng = np.random.default_rng(5)
+        X = rng.random((4, 32, 32))
+        y = (X > 0.6).astype(np.uint8) + (X > 0.9)
+        est = HybridPoolingSegmenter(variant="sa-re-dae", widths=(2, 3), epochs=1,
+                                     learning_rate=1e-3, seed=2).fit(X, y)
+        ckpt = str(tmp_path / "est.ckpt")
+        checkpoint.save(est.network_, ckpt)
+        image = str(tmp_path / "odd.pgm")
+        write_pgm(image, rng.integers(0, 256, (30, 45)).astype(np.uint8))
+        out = str(tmp_path / "odd")
+        code, _, _ = run(capsys, "predict", "--ckpt", ckpt, "--image", image, "--out", out)
+        assert code == 0
+        cli_mask = read_pgm(out + "_mask.pgm")
+        img = read_image_any(image)
+        seg = optim.segment(checkpoint.load(ckpt), img)
+        est_mask = est.predict(img[None])[0]
+        assert cli_mask.shape == seg.shape == est_mask.shape == (30, 45)
+        assert seg.dtype == est_mask.dtype == np.uint8
+        assert cli_mask.tobytes() == seg.tobytes() == est_mask.tobytes()
+        assert len(np.unique(seg)) > 1  # a constant mask would agree trivially

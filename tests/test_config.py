@@ -12,7 +12,6 @@ class TestFromFile:
         assert cfg.values == DEFAULTS
         assert cfg.variant == "sa-re-dae"
         assert cfg.widths == (16, 32)
-        assert cfg.classes == 3
 
     def test_overrides_comments_and_blank_lines(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -27,6 +26,13 @@ class TestFromFile:
         p = tmp_path / "run.cfg"
         p.write_text("epochs=5\nlern_rate=0.1\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:2.*lern_rate"):
+            RunConfig.from_file(str(p))
+
+    def test_classes_is_not_a_key(self, tmp_path):
+        # the class count is fixed by the data format (data.N_CLASSES)
+        p = tmp_path / "run.cfg"
+        p.write_text("classes=4\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg:1.*unknown key 'classes'"):
             RunConfig.from_file(str(p))
 
     def test_malformed_line_rejected(self, tmp_path):

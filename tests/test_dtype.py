@@ -72,6 +72,48 @@ def test_train_step_stays_float32(dtype_spy):
     assert all(b.dtype == np.float32 for _, b in N.named_buffers(net))
 
 
+class _AllocationSpy:
+    """Stands in for numpy inside `redae.layers`, recording what it allocates.
+
+    Every call to a function that returns a new array records the array's
+    dtype; everything else passes through to numpy unchanged.
+    """
+
+    ALLOCATORS = ("zeros", "empty", "ones", "full", "zeros_like", "empty_like",
+                  "ones_like", "full_like", "pad", "stack", "concatenate", "repeat",
+                  "where", "choose", "ascontiguousarray", "matmul")
+
+    def __init__(self):
+        self.dtypes: list[tuple[str, np.dtype]] = []
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.ALLOCATORS:
+            return fn
+
+        def record(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self.dtypes.append((name, out.dtype))
+            return out
+        return record
+
+
+def test_float32_layers_allocate_no_float64(monkeypatch):
+    # a float64 scratch buffer whose values are copied back into a float32
+    # array changes no output dtype, so only its allocation shows it
+    spy = _AllocationSpy()
+    net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+    net.class_weights = L.ClassWeights([0.5, 1.0, 4.0])
+    x = Rng(2).tensor_normal((2, 1, 8, 8))
+    labels = np.asarray(Rng(3).integers(0, 3, (2, 8, 8)), dtype=np.int64)
+    monkeypatch.setattr(L, "np", spy)
+    with Tape():
+        backward(N.loss(net, x, labels))
+    names = {name for name, _ in spy.dtypes}
+    assert {"zeros", "empty", "stack", "where", "matmul"} <= names
+    assert [(n, d) for n, d in spy.dtypes if d == np.float64] == []
+
+
 def test_load_and_evaluate_run_in_float32(tmp_path, dtype_spy):
     samples = generate_phantoms(3, 32, 32, Rng(4))
     path = str(tmp_path / "m.ckpt")

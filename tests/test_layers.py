@@ -15,13 +15,12 @@ from redae.tensor import Rng, Tensor4, from_values, grad_check, mul, sum_all
 GRAD_TOL = 1e-4  # relative, central differences at eps=1e-5
 
 
-def _conv_params(rng, c_in, c_out, k, padding="same", grad=True):
+def _conv_params(rng, c_in, c_out, k, grad=True):
     return L.ConvParams(
         Tensor4(rng.normal((c_out, c_in, k, k), 0.4), requires_grad=grad,
                 validate=False),
         Tensor4(rng.normal((1, c_out, 1, 1), 0.4), requires_grad=grad,
-                validate=False),
-        padding)
+                validate=False))
 
 
 def _bn_params(c, rng=None, mode="train"):
@@ -54,12 +53,6 @@ class TestConvForward:
                          from_values((1, 1, 1, 1), [0.0]))
         out = L.conv2d(x, p).data[0, 0]
         assert out[1, 1] == 9 and out[0, 1] == 6 and out[0, 0] == 4
-
-    def test_valid_padding_shape(self):
-        rng = Rng(1)
-        x = rng.tensor_normal((2, 3, 8, 8))
-        p = _conv_params(rng, 3, 4, 3, padding="valid")
-        assert L.conv2d(x, p).shape == (2, 4, 6, 6)
 
     def test_channel_mismatch(self):
         rng = Rng(2)
@@ -126,7 +119,7 @@ class TestPoolingForward:
     def test_max_pool_values_and_offsets(self):
         x = from_values((1, 1, 2, 4), [1, 5, 2, 2,
                                        3, 0, 2, 2])
-        out, idx = L.max_pool(x, L.PoolSpec(2))
+        out, idx = L.max_pool(x)
         assert out.data.reshape(-1).tolist() == [5.0, 2.0]
         # 5 sits at window offset 1 (row 0, col 1); the tied 2s pick the
         # lowest row-major offset, 0
@@ -135,24 +128,24 @@ class TestPoolingForward:
     def test_max_unpool_scatter(self):
         x = from_values((1, 1, 2, 4), [1, 5, 2, 2,
                                        3, 0, 2, 2])
-        out, idx = L.max_pool(x, L.PoolSpec(2))
-        up = L.max_unpool(out, idx, L.PoolSpec(2)).data.reshape(-1).tolist()
+        out, idx = L.max_pool(x)
+        up = L.max_unpool(out, idx).data.reshape(-1).tolist()
         assert up == [0, 5, 2, 0,
                       0, 0, 0, 0]
 
     def test_avg_pool_values(self):
         x = from_values((1, 1, 2, 2), [1, 2, 3, 6])
-        out = L.avg_pool(x, L.PoolSpec(2))
+        out = L.avg_pool(x)
         assert out.data.reshape(-1).tolist() == [3.0]
 
     def test_avg_upsample_replicates(self):
         y = from_values((1, 1, 1, 1), [7.0])
-        up = L.avg_upsample(y, L.PoolSpec(2))
+        up = L.avg_upsample(y)
         assert np.all(up.data == 7.0)
 
     def test_divisibility_error_mentions_padding(self):
         with pytest.raises(ShapeError, match="pad"):
-            L.max_pool(Tensor4(np.ones((1, 1, 3, 4))), L.PoolSpec(2))
+            L.max_pool(Tensor4(np.ones((1, 1, 3, 4))))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scatter_matches_per_window_loop(self, dtype):
@@ -184,22 +177,20 @@ class TestPoolingAlgebra:
             yield r.tensor_normal((n, c, h, w))
 
     def test_avg_pool_of_avg_upsample_is_identity(self):
-        s = L.PoolSpec(2)
         for x in self._cases():
-            y = L.avg_pool(x, s)
-            back = L.avg_pool(L.avg_upsample(y, s), s)
+            y = L.avg_pool(x)
+            back = L.avg_pool(L.avg_upsample(y))
             assert np.array_equal(back.data, y.data)
 
     def test_unpool_round_trip_and_sparsity(self):
-        s = L.PoolSpec(2)
         for signed in self._cases():
             # the round-trip law needs non-negative inputs (real use is after
             # ReLU): for a negative window max, the scattered zeros win
             x = Tensor4(np.abs(signed.data))
-            y, idx = L.max_pool(x, s)
-            up = L.max_unpool(y, idx, s)
+            y, idx = L.max_pool(x)
+            up = L.max_unpool(y, idx)
             # pooling the unpooled map recovers the maxima exactly
-            y2, _ = L.max_pool(up, s)
+            y2, _ = L.max_pool(up)
             assert np.array_equal(y2.data, y.data)
             # exactly one nonzero entry per window unless the max is 0
             win = up.data.reshape(x.shape[0], x.shape[1], x.shape[2] // 2, 2,
@@ -209,10 +200,9 @@ class TestPoolingAlgebra:
             assert np.all((nz == 1) | (y.data == 0))
 
     def test_avg_never_exceeds_max(self):
-        s = L.PoolSpec(2)
         for x in self._cases():
-            mx, _ = L.max_pool(x, s)
-            av = L.avg_pool(x, s)
+            mx, _ = L.max_pool(x)
+            av = L.avg_pool(x)
             assert np.all(av.data <= mx.data)
 
 
@@ -288,7 +278,7 @@ def _layer_grad_cases():
         bias = Tensor4(rng.normal((1, 2, 1, 1)), validate=False)
 
         def f(t):
-            p = L.ConvParams(t, bias, "same")
+            p = L.ConvParams(t, bias)
             return sum_all(mul(L.conv2d(x, p), L.conv2d(x, p)))
         return f, Tensor4(rng.normal((2, 3, 3, 3), 0.4), validate=False)
 
@@ -316,32 +306,25 @@ def _layer_grad_cases():
                 rng.tensor_normal((2, 3, 8, 8)))
 
     def max_pool_case(rng):
-        s = L.PoolSpec(2)
-
         def f(t):
-            y, _ = L.max_pool(t, s)
+            y, _ = L.max_pool(t)
             return sum_all(mul(y, y))
         return f, rng.tensor_normal((2, 3, 8, 8))
 
     def max_unpool_case(rng):
-        s = L.PoolSpec(2)
-
         def f(t):
-            y, idx = L.max_pool(t, s)
-            up = L.max_unpool(y, idx, s)
+            y, idx = L.max_pool(t)
+            up = L.max_unpool(y, idx)
             return sum_all(mul(up, up))
         return f, rng.tensor_normal((2, 3, 8, 8))
 
     def avg_pool_case(rng):
-        s = L.PoolSpec(2)
-        return (lambda t: sum_all(mul(L.avg_pool(t, s), L.avg_pool(t, s))),
+        return (lambda t: sum_all(mul(L.avg_pool(t), L.avg_pool(t))),
                 rng.tensor_normal((2, 3, 8, 8)))
 
     def avg_upsample_case(rng):
-        s = L.PoolSpec(2)
-
         def f(t):
-            up = L.avg_upsample(L.avg_pool(t, s), s)
+            up = L.avg_upsample(L.avg_pool(t))
             return sum_all(mul(up, up))
         return f, rng.tensor_normal((2, 3, 8, 8))
 
@@ -395,7 +378,7 @@ def test_max_pool_grad_routes_to_argmax_only(seed):
     x = rng.tensor_normal((1, 2, 4, 4), requires_grad=True)
     from redae.tensor import Tape, backward
     with Tape():
-        y, idx = L.max_pool(x, L.PoolSpec(2))
+        y, idx = L.max_pool(x)
         backward(sum_all(y))
     win = x.grad.reshape(1, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
     win = win.reshape(1, 2, 2, 2, 4)
