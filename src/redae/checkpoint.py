@@ -14,13 +14,15 @@ Layout (all integers little-endian):
 
 Parameters and running statistics are stored in float32, the dtype the
 network trains and infers in, so a save -> load -> save round trip is
-byte-stable. `load` builds a float32 network and requires every tensor of
-the saved topology exactly once, with no trailing bytes; anything else is a
-`DataError`.
+byte-stable. `save` renames a finished file onto the target, so a failed
+save leaves an earlier checkpoint at that path untouched. `load` builds a
+float32 network and requires every tensor of the saved topology exactly
+once, with no trailing bytes; anything else is a `DataError`.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 
@@ -59,8 +61,17 @@ def save(net: Network, path: str) -> None:
         out += struct.pack("<IIII", *arr.shape)
         out += arr.astype("<f4").tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
-    with open(path, "wb") as f:
-        f.write(out)
+    # write beside the target and rename over it, so a write that fails part
+    # way leaves the previous checkpoint at `path` as it was
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

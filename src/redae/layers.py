@@ -1,7 +1,8 @@
 """Primitive network layers: convolution, batch norm, pooling, fusion, loss.
 
-All layers are pure functions over (input, params) that register their
-backward rule on the active tape. Every op computes and allocates its scratch
+All layers are pure functions over (input, params). Each defines its
+backward rule as a closure `bwd(g)` and hands it to `make_op_output`, which
+records it on the active tape. Every op computes and allocates its scratch
 buffers in its input's dtype (float32 or float64), with params in the same
 dtype, so nothing upcasts. Every convolution zero-pads to keep the spatial
 size ("same"). Pooling uses the paper's non-overlapping 2x2 windows with
@@ -123,19 +124,17 @@ def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:
     xm = x.data.reshape(n, c_in, h * w)
     out = (wmat @ xm).reshape(n, c_out, h, w) + p.bias.data
 
-    def build():
-        def bwd(g):
-            gr = g.reshape(n, c_out, h * w)
-            if p.bias.requires_grad:
-                p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
-            if p.filters.requires_grad:
-                gw = np.matmul(gr, xm.transpose(0, 2, 1)).sum(axis=0)
-                p.filters.accumulate_grad(gw.reshape(c_out, c_in, 1, 1))
-            if x.requires_grad:
-                x.accumulate_grad((wmat.T @ gr).reshape(n, c_in, h, w), own=True)
-        return bwd
+    def bwd(g):
+        gr = g.reshape(n, c_out, h * w)
+        if p.bias.requires_grad:
+            p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
+        if p.filters.requires_grad:
+            gw = np.matmul(gr, xm.transpose(0, 2, 1)).sum(axis=0)
+            p.filters.accumulate_grad(gw.reshape(c_out, c_in, 1, 1))
+        if x.requires_grad:
+            x.accumulate_grad((wmat.T @ gr).reshape(n, c_in, h, w), own=True)
 
-    return make_op_output(out, (x, p.filters, p.bias), build)
+    return make_op_output(out, (x, p.filters, p.bias), bwd)
 
 
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
@@ -160,27 +159,25 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     wmat = p.filters.data.reshape(c_out, c_in * kp * kq)
     out = (wmat @ cols).reshape(n, c_out, h, w) + p.bias.data
 
-    def build():
-        def bwd(g):
-            gr = g.reshape(n, c_out, h * w)
-            if p.bias.requires_grad:
-                p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
-            if p.filters.requires_grad:
-                gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0)
-                p.filters.accumulate_grad(gw.reshape(c_out, c_in, kp, kq))
-            if x.requires_grad:
-                # grad wrt input: one GEMM back to column space, then
-                # scatter-add each filter offset into the padded input grad
-                gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, h, w)
-                gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
-                for i in range(kp):
-                    for j in range(kq):
-                        gxp[:, :, i:i + h, j:j + w] += gxc[:, :, i * kq + j]
-                x.accumulate_grad(np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),
-                                  own=True)
-        return bwd
+    def bwd(g):
+        gr = g.reshape(n, c_out, h * w)
+        if p.bias.requires_grad:
+            p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
+        if p.filters.requires_grad:
+            gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0)
+            p.filters.accumulate_grad(gw.reshape(c_out, c_in, kp, kq))
+        if x.requires_grad:
+            # grad wrt input: one GEMM back to column space, then
+            # scatter-add each filter offset into the padded input grad
+            gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, h, w)
+            gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
+            for i in range(kp):
+                for j in range(kq):
+                    gxp[:, :, i:i + h, j:j + w] += gxc[:, :, i * kq + j]
+            x.accumulate_grad(np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),
+                              own=True)
 
-    return make_op_output(out, (x, p.filters, p.bias), build)
+    return make_op_output(out, (x, p.filters, p.bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -190,15 +187,11 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
 def relu(x: Tensor4) -> Tensor4:
     """max(0, x) elementwise; subgradient at exactly 0 is 0."""
 
-    def build():
-        mask = x.data > 0
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(g * (x.data > 0), own=True)
 
-        def bwd(g):
-            if x.requires_grad:
-                x.accumulate_grad(g * mask, own=True)
-        return bwd
-
-    return make_op_output(np.maximum(x.data, 0.0), (x,), build)
+    return make_op_output(np.maximum(x.data, 0.0), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +222,22 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
     out = xhat * p.gamma.data + p.beta.data
     train_mode = p.mode == "train"
 
-    def build():
-        def bwd(g):
-            if p.beta.requires_grad:
-                p.beta.accumulate_grad(g.sum(axis=axes).reshape(1, c, 1, 1))
-            if p.gamma.requires_grad:
-                p.gamma.accumulate_grad((g * xhat).sum(axis=axes).reshape(1, c, 1, 1))
-            if x.requires_grad:
-                gk = g * p.gamma.data
-                if train_mode:
-                    m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
-                    m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
-                    gx = inv_std.reshape(1, c, 1, 1) * (gk - m1 - xhat * m2)
-                else:
-                    gx = gk * inv_std.reshape(1, c, 1, 1)
-                x.accumulate_grad(gx, own=True)
-        return bwd
+    def bwd(g):
+        if p.beta.requires_grad:
+            p.beta.accumulate_grad(g.sum(axis=axes).reshape(1, c, 1, 1))
+        if p.gamma.requires_grad:
+            p.gamma.accumulate_grad((g * xhat).sum(axis=axes).reshape(1, c, 1, 1))
+        if x.requires_grad:
+            gk = g * p.gamma.data
+            if train_mode:
+                m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
+                m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
+                gx = inv_std.reshape(1, c, 1, 1) * (gk - m1 - xhat * m2)
+            else:
+                gx = gk * inv_std.reshape(1, c, 1, 1)
+            x.accumulate_grad(gx, own=True)
 
-    return make_op_output(out, (x, p.gamma, p.beta), build)
+    return make_op_output(out, (x, p.gamma, p.beta), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +278,11 @@ def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
     offsets = corners.argmax(axis=0)
     idx = PoolIndices(offsets.astype(np.int64))
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                x.accumulate_grad(_scatter_2x2(g, offsets))
-        return bwd
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate_grad(_scatter_2x2(g, offsets))
 
-    return make_op_output(corners.max(axis=0), (x,), build), idx
+    return make_op_output(corners.max(axis=0), (x,), bwd), idx
 
 
 def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
@@ -301,13 +290,11 @@ def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
     if y.shape != idx.offsets.shape:
         raise ShapeError(f"max_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
 
-    def build():
-        def bwd(g):
-            if y.requires_grad:
-                y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)))
-        return bwd
+    def bwd(g):
+        if y.requires_grad:
+            y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)))
 
-    return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), build)
+    return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), bwd)
 
 
 def avg_pool(x: Tensor4) -> Tensor4:
@@ -318,34 +305,30 @@ def avg_pool(x: Tensor4) -> Tensor4:
     out = (a[:, :, :, 0, :, 0] + a[:, :, :, 0, :, 1]
            + a[:, :, :, 1, :, 0] + a[:, :, :, 1, :, 1]) * 0.25
 
-    def build():
-        def bwd(g):
-            if x.requires_grad:
-                gs = g / 4
-                gx = np.empty((n, c, h, w), g.dtype)
-                view = gx.reshape(n, c, h // 2, 2, w // 2, 2)
-                for i in range(2):
-                    for j in range(2):
-                        view[:, :, :, i, :, j] = gs
-                x.accumulate_grad(gx)
-        return bwd
+    def bwd(g):
+        if x.requires_grad:
+            gs = g / 4
+            gx = np.empty((n, c, h, w), g.dtype)
+            view = gx.reshape(n, c, h // 2, 2, w // 2, 2)
+            for i in range(2):
+                for j in range(2):
+                    view[:, :, :, i, :, j] = gs
+            x.accumulate_grad(gx)
 
-    return make_op_output(out, (x,), build)
+    return make_op_output(out, (x,), bwd)
 
 
 def avg_upsample(y: Tensor4) -> Tensor4:
     """Replicate each value across its 2x2 window (exact right-inverse of avg_pool)."""
     out = np.repeat(np.repeat(y.data, 2, axis=2), 2, axis=3)
 
-    def build():
-        def bwd(g):
-            if y.requires_grad:
-                n, c, h, w = g.shape
-                a = g.reshape(n, c, h // 2, 2, w // 2, 2)
-                y.accumulate_grad(a.sum(axis=(3, 5)))
-        return bwd
+    def bwd(g):
+        if y.requires_grad:
+            n, c, h, w = g.shape
+            a = g.reshape(n, c, h // 2, 2, w // 2, 2)
+            y.accumulate_grad(a.sum(axis=(3, 5)))
 
-    return make_op_output(out, (y,), build)
+    return make_op_output(out, (y,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +341,13 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
     if (na, ha, wa) != (nb, hb, wb):
         raise ShapeError(f"concat_channels: batch/spatial mismatch {a.shape} vs {b.shape}")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g[:, :ca])
-            if b.requires_grad:
-                b.accumulate_grad(g[:, ca:])
-        return bwd
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g[:, :ca])
+        if b.requires_grad:
+            b.accumulate_grad(g[:, ca:])
 
-    return make_op_output(np.concatenate([a.data, b.data], axis=1), (a, b), build)
+    return make_op_output(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +360,12 @@ def softmax_pixels(logits: Tensor4) -> Tensor4:
     e = np.exp(z)
     probs = e / e.sum(axis=1, keepdims=True)
 
-    def build():
-        def bwd(g):
-            if logits.requires_grad:
-                dot = (g * probs).sum(axis=1, keepdims=True)
-                logits.accumulate_grad(probs * (g - dot))
-        return bwd
+    def bwd(g):
+        if logits.requires_grad:
+            dot = (g * probs).sum(axis=1, keepdims=True)
+            logits.accumulate_grad(probs * (g - dot))
 
-    return make_op_output(probs, (logits,), build)
+    return make_op_output(probs, (logits,), bwd)
 
 
 def check_labels(labels: np.ndarray, classes: int) -> np.ndarray:
@@ -417,13 +396,11 @@ def weighted_cross_entropy(probs: Tensor4, labels: np.ndarray, w: ClassWeights) 
     with np.errstate(divide="ignore"):  # log(0) -> -inf; the caller handles it
         loss = -(pw * np.log(p_label)).sum() / total_w
 
-    def build():
-        def bwd(g):
-            if probs.requires_grad:
-                gs = g.reshape(-1)[0]
-                gp = np.zeros(probs.shape, g.dtype)
-                np.put_along_axis(gp, labels[:, None], (-gs * pw / (p_label * total_w))[:, None], axis=1)
-                probs.accumulate_grad(gp)
-        return bwd
+    def bwd(g):
+        if probs.requires_grad:
+            gs = g.reshape(-1)[0]
+            gp = np.zeros(probs.shape, g.dtype)
+            np.put_along_axis(gp, labels[:, None], (-gs * pw / (p_label * total_w))[:, None], axis=1)
+            probs.accumulate_grad(gp)
 
-    return make_op_output(loss.reshape(1, 1, 1, 1), (probs,), build)
+    return make_op_output(loss.reshape(1, 1, 1, 1), (probs,), bwd)

@@ -49,12 +49,6 @@ class ConfusionCounts:
     def truth_pixels(self, c: int) -> int:
         return int(self.tp[c] + self.fn[c])
 
-    def merge(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        if self.classes != other.classes:
-            raise ShapeError("cannot merge counts with different class counts")
-        return ConfusionCounts(self.classes, self.tp + other.tp, self.fp + other.fp,
-                               self.fn + other.fn, self.tn + other.tn)
-
 
 def accumulate(counts: ConfusionCounts, pred: np.ndarray, true: np.ndarray) -> ConfusionCounts:
     """Add one predicted/true mask pair into the tallies (in place)."""

@@ -198,7 +198,7 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
     if h % factor or w % factor:
         raise ShapeError(
             f"forward: spatial dims {h}x{w} must be divisible by {factor}; "
-            "use data.pad_to_multiple before inference")
+            "use optim.segment, which pads images of any size")
 
     indices = []
     t = astype(x, net.dtype)

@@ -7,7 +7,6 @@ the estimator all go through it.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -176,17 +175,6 @@ def carve_validation(train_ids: list[str], fraction: float, seed: int) -> tuple[
     return ids[n_val:], ids[:n_val]
 
 
-def worker_threads() -> int:
-    """Worker-thread cap: REDAE_THREADS env var, default available cores."""
-    env = os.environ.get("REDAE_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"REDAE_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 def segment(net: Network, image: np.ndarray) -> np.ndarray:
     """Class mask (h, w) uint8 of one (h, w, c) image of any size.
 
@@ -201,27 +189,11 @@ def segment(net: Network, image: np.ndarray) -> np.ndarray:
 
 
 def evaluate(net: Network, samples: list[Sample]) -> tuple[M.MetricsReport, M.ConfusionCounts]:
-    """Predict every sample and accumulate pixel confusion counts.
-
-    Samples are scored independently (up to `worker_threads()` at a time) and
-    the partial counts merged in sample order, so the result is deterministic.
-    """
+    """Segment every sample in order and accumulate pixel confusion counts."""
     if not samples:
         raise ConfigError("evaluation set is empty")
     net.set_mode("eval")
-
-    def score_one(s: Sample) -> M.ConfusionCounts:
-        return M.accumulate(M.ConfusionCounts(net.classes), segment(net, s.image), s.mask)
-
-    threads = worker_threads()
-    if threads > 1 and len(samples) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(score_one, samples))
-    else:
-        partials = [score_one(s) for s in samples]
-
     counts = M.ConfusionCounts(net.classes)
-    for p in partials:
-        counts = counts.merge(p)
+    for s in samples:
+        M.accumulate(counts, segment(net, s.image), s.mask)
     return M.compute_report(counts), counts

@@ -146,18 +146,19 @@ def active_tape() -> Tape | None:
 
 
 def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
-                   backward_builder: Callable[[], Callable[[np.ndarray], None]]) -> Tensor4:
-    """Create an op result, recording it when gradients are being tracked.
+                   backward_fn: Callable[[np.ndarray], None]) -> Tensor4:
+    """Create an op result, recording `backward_fn` when gradients are tracked.
 
-    `backward_builder` is only invoked when recording happens, so ops can
-    defer capturing state needed solely for the backward pass.
+    `backward_fn(g)` takes the output's gradient and accumulates into the
+    inputs. It is recorded only when a tape is open and some input requires
+    gradients; otherwise it is dropped along with whatever it captured.
     """
     tape = active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor4(data, requires_grad=track, validate=False)
     if track:
         assert tape is not None
-        tape.record(out, backward_builder())
+        tape.record(out, backward_fn)
     return out
 
 
@@ -193,13 +194,11 @@ def astype(a: Tensor4, dtype) -> Tensor4:
     if a.data.dtype == dtype:
         return a
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g)
-        return bwd
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g)
 
-    return make_op_output(a.data.astype(dtype), (a,), build)
+    return make_op_output(a.data.astype(dtype), (a,), bwd)
 
 
 def _binary_shapes(a: Tensor4, b: Tensor4, name: str) -> None:
@@ -210,27 +209,23 @@ def _binary_shapes(a: Tensor4, b: Tensor4, name: str) -> None:
 def mul(a: Tensor4, b: Tensor4) -> Tensor4:
     _binary_shapes(a, b, "mul")
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(g * b.data)
-            if b.requires_grad:
-                b.accumulate_grad(g * a.data)
-        return bwd
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(g * b.data)
+        if b.requires_grad:
+            b.accumulate_grad(g * a.data)
 
-    return make_op_output(a.data * b.data, (a, b), build)
+    return make_op_output(a.data * b.data, (a, b), bwd)
 
 
 def sum_all(a: Tensor4) -> Tensor4:
     """Sum every element into a scalar-shaped tensor."""
 
-    def build():
-        def bwd(g):
-            if a.requires_grad:
-                a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0]))
-        return bwd
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0]))
 
-    return make_op_output(np.array(a.data.sum()).reshape(1, 1, 1, 1), (a,), build)
+    return make_op_output(np.array(a.data.sum()).reshape(1, 1, 1, 1), (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Binary checkpoint round trips, integrity checks, and byte stability."""
 
+import errno
 import struct
 
 import numpy as np
@@ -66,6 +67,39 @@ class TestRoundTrip:
         C.save(net, str(p1))
         C.save(C.load(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_failed_write_keeps_the_earlier_checkpoint(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.ckpt"
+        C.save(trained_net(seed=0), str(p))
+        before = p.read_bytes()
+        real_open = open
+
+        class HalfThenFull:
+            """A file whose write stores half the bytes, then runs out of space."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+                return False
+
+            def write(self, data):
+                self.f.write(bytes(data[:len(data) // 2]))
+                self.f.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(C, "open", lambda *a, **k: HalfThenFull(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            C.save(trained_net(seed=1), str(p))
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]  # no temporary left
 
 
 class TestIntegrity:

@@ -18,9 +18,9 @@ def dtype_spy(monkeypatch):
     seen = {"outputs": [], "grads": []}
     make = L.make_op_output
 
-    def make_op_output(data, inputs, builder):
+    def make_op_output(data, inputs, backward_fn):
         seen["outputs"].append(data.dtype)
-        return make(data, inputs, builder)
+        return make(data, inputs, backward_fn)
 
     accumulate = Tensor4.accumulate_grad
 

@@ -385,3 +385,17 @@ def test_max_pool_grad_routes_to_argmax_only(seed):
     # each window's gradient is a one-hot at the memorized offset
     assert np.all(win.sum(axis=-1) == 1.0)
     np.testing.assert_array_equal(win.argmax(axis=-1), idx.offsets)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_grad_at_and_around_the_kink(dtype):
+    # backward passes g through where x > 0 and gives 0 at x == 0 (either
+    # sign of zero) and below
+    from redae.tensor import Tape, backward
+    x = Tensor4(np.array([-2.0, -0.0, 0.0, 1e-30, 3.0, -1e-30], dtype).reshape(1, 1, 2, 3),
+                requires_grad=True)
+    g = Tensor4(np.arange(5.0, 11.0, dtype=dtype).reshape(1, 1, 2, 3))
+    with Tape():
+        backward(sum_all(mul(L.relu(x), g)))
+    assert x.grad.dtype == dtype
+    np.testing.assert_array_equal(x.grad.reshape(-1), np.array([0, 0, 0, 8, 9, 0], dtype))

@@ -112,20 +112,6 @@ class TestConventions:
         assert M.recall_frac(c, 1) == Fraction(2, 3)
         assert M.global_accuracy_frac(c) == Fraction(4, 6)
 
-    def test_merge_equals_joint_accumulation(self):
-        rng = Rng(0xFACE)
-        p1, t1 = random_pair(rng.child(0))
-        p2, t2 = random_pair(rng.child(1))
-        a = M.accumulate(M.ConfusionCounts(3), p1, t1)
-        b = M.accumulate(M.ConfusionCounts(3), p2, t2)
-        joint = M.accumulate(M.accumulate(M.ConfusionCounts(3), p1, t1),
-                             p2, t2)
-        merged = a.merge(b)
-        assert merged.tp.tolist() == joint.tp.tolist()
-        assert merged.fp.tolist() == joint.fp.tolist()
-        assert merged.fn.tolist() == joint.fn.tolist()
-        assert merged.tn.tolist() == joint.tn.tolist()
-
     def test_shape_mismatch_rejected(self):
         from redae.errors import ShapeError
         with pytest.raises(ShapeError):

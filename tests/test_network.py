@@ -71,7 +71,7 @@ class TestForward:
 
     def test_divisibility_error_mentions_padding(self):
         net = small_net()
-        with pytest.raises(ShapeError, match="pad_to_multiple"):
+        with pytest.raises(ShapeError, match="optim.segment"):
             N.forward(net, Rng(3).tensor_normal((1, 1, 6, 8)))
 
     def test_channel_mismatch(self):

@@ -219,20 +219,3 @@ class TestEvaluate:
         assert counts.tp.tolist() == manual.tp.tolist()
         assert counts.fp.tolist() == manual.fp.tolist()
         assert rep == M.compute_report(manual)
-
-    def test_thread_count_env_override(self, monkeypatch):
-        monkeypatch.setenv("REDAE_THREADS", "3")
-        assert O.worker_threads() == 3
-        monkeypatch.setenv("REDAE_THREADS", "0")
-        assert O.worker_threads() == 1  # clamped to at least one worker
-        monkeypatch.setenv("REDAE_THREADS", "two")
-        with pytest.raises(ConfigError):
-            O.worker_threads()
-
-    def test_single_and_multi_thread_agree(self, monkeypatch):
-        net, test = self._trained()
-        monkeypatch.setenv("REDAE_THREADS", "1")
-        rep1, _ = O.evaluate(net, test)
-        monkeypatch.setenv("REDAE_THREADS", "2")
-        rep2, _ = O.evaluate(net, test)
-        assert rep1 == rep2
