@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DataError
 from .layers import ClassWeights
 from .network import Network, build, named_buffers, named_parameters
-from .tensor import Rng
 
 MAGIC = b"REDAE"
 VERSION = 1
@@ -74,6 +73,17 @@ def save(net: Network, path: str) -> None:
         raise
 
 
+class _ZeroDraws:
+    """Stands in for `build`'s `Rng`: every draw is zeros, and none is random.
+
+    `load` overwrites every tensor `build` makes, so drawing a real He
+    initialisation first would be wasted work.
+    """
+
+    def normal(self, shape, scale: float = 1.0) -> np.ndarray:
+        return np.zeros(shape)
+
+
 class _Reader:
     def __init__(self, raw: bytes, path: str):
         self.raw, self.pos, self.path = raw, 0, path
@@ -113,8 +123,8 @@ def load(path: str) -> Network:
     widths = [r.unpack("<I")[0] for _ in range(n_widths)]
     weights = np.frombuffer(r.take(8 * classes), dtype="<f8").copy()
 
-    net = build(variant, widths, classes, Rng(0), in_channels=in_channels, kernel=kernel,
-                dtype=np.float32)
+    net = build(variant, widths, classes, _ZeroDraws(), in_channels=in_channels,
+                kernel=kernel, dtype=np.float32)
     net.class_weights = ClassWeights(weights)
     params = dict(named_parameters(net))
     buffers = dict(named_buffers(net))

@@ -4,10 +4,14 @@ All layers are pure functions over (input, params). Each defines its
 backward rule as a closure `bwd(g)` and hands it to `make_op_output`, which
 records it on the active tape. Every op computes and allocates its scratch
 buffers in its input's dtype (float32 or float64), with params in the same
-dtype, so nothing upcasts. Every convolution zero-pads to keep the spatial
-size ("same"). Pooling uses the paper's non-overlapping 2x2 windows with
-stride 2; max-pooling memorizes per-window argmax offsets so the decoder can
-place values back exactly during unpooling.
+dtype, so nothing upcasts. Arrays that live for a step (padded inputs,
+im2col columns, outputs, the col2im buffer) come from `tensor.empty`, which
+a training run serves from its `BufferPool`; a backward closure owns the
+grad it is handed and writes into it where it can. Every convolution
+zero-pads to keep the spatial size ("same"). Pooling uses the paper's
+non-overlapping 2x2 windows with stride 2; max-pooling memorizes per-window
+argmax offsets so the decoder can place values back exactly during
+unpooling.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .tensor import Tensor4, make_op_output
+from .tensor import Tensor4, empty, make_op_output
 
 # ---------------------------------------------------------------------------
 # Parameter containers
@@ -122,7 +126,9 @@ def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:
     c_out = p.c_out
     wmat = p.filters.data.reshape(c_out, c_in)
     xm = x.data.reshape(n, c_in, h * w)
-    out = (wmat @ xm).reshape(n, c_out, h, w) + p.bias.data
+    out = empty((n, c_out, h, w), x.data.dtype)
+    np.matmul(wmat, xm, out=out.reshape(n, c_out, h * w))
+    out += p.bias.data
 
     def bwd(g):
         gr = g.reshape(n, c_out, h * w)
@@ -147,17 +153,24 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
         return _conv2d_1x1(x, p)
 
     ph, pw = (kp - 1) // 2, (kq - 1) // 2
-    xp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), x.data.dtype)
+    dtype = x.data.dtype
+    xp = empty((n, c_in, h + 2 * ph, w + 2 * pw), dtype)
+    xp[:, :, :ph] = 0
+    xp[:, :, ph + h:] = 0
+    xp[:, :, ph:ph + h, :pw] = 0
+    xp[:, :, ph:ph + h, pw + w:] = 0
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
     # im2col in (n, c_in * kp * kq, h * w) layout: one shifted-slice copy
     # per filter offset, never a strided transpose
-    cols = np.empty((n, c_in, kp * kq, h, w), x.data.dtype)
+    cols = empty((n, c_in, kp * kq, h, w), dtype)
     for i in range(kp):
         for j in range(kq):
             cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
     cols = cols.reshape(n, c_in * kp * kq, h * w)
     wmat = p.filters.data.reshape(c_out, c_in * kp * kq)
-    out = (wmat @ cols).reshape(n, c_out, h, w) + p.bias.data
+    out = empty((n, c_out, h, w), dtype)
+    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
+    out += p.bias.data
 
     def bwd(g):
         gr = g.reshape(n, c_out, h * w)
@@ -170,7 +183,8 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
             # grad wrt input: one GEMM back to column space, then
             # scatter-add each filter offset into the padded input grad
             gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, h, w)
-            gxp = np.zeros((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
+            gxp = empty((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
+            gxp.fill(0)
             for i in range(kp):
                 for j in range(kq):
                     gxp[:, :, i:i + h, j:j + w] += gxc[:, :, i * kq + j]
@@ -189,9 +203,11 @@ def relu(x: Tensor4) -> Tensor4:
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(g * (x.data > 0), own=True)
+            g *= x.data > 0
+            x.accumulate_grad(g, own=True)
 
-    return make_op_output(np.maximum(x.data, 0.0), (x,), bwd)
+    out = np.maximum(x.data, 0.0, out=empty(x.shape, x.data.dtype))
+    return make_op_output(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +234,10 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
         raise ShapeError(f"unknown batch_norm mode {p.mode!r}")
 
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-    out = xhat * p.gamma.data + p.beta.data
+    xhat = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=empty(x.shape, x.data.dtype))
+    xhat *= inv_std.reshape(1, c, 1, 1)
+    out = np.multiply(xhat, p.gamma.data, out=empty(x.shape, x.data.dtype))
+    out += p.beta.data
     train_mode = p.mode == "train"
 
     def bwd(g):
@@ -228,14 +246,17 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
         if p.gamma.requires_grad:
             p.gamma.accumulate_grad((g * xhat).sum(axis=axes).reshape(1, c, 1, 1))
         if x.requires_grad:
-            gk = g * p.gamma.data
+            # in place, in the order of inv_std * (g * gamma - m1 - xhat * m2);
+            # g and xhat are not read again
+            gk = g
+            gk *= p.gamma.data
             if train_mode:
                 m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
                 m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
-                gx = inv_std.reshape(1, c, 1, 1) * (gk - m1 - xhat * m2)
-            else:
-                gx = gk * inv_std.reshape(1, c, 1, 1)
-            x.accumulate_grad(gx, own=True)
+                gk -= m1
+                gk -= np.multiply(xhat, m2, out=xhat)
+            gk *= inv_std.reshape(1, c, 1, 1)
+            x.accumulate_grad(gk, own=True)
 
     return make_op_output(out, (x, p.gamma, p.beta), bwd)
 
@@ -263,7 +284,7 @@ def _windows_2x2(data: np.ndarray) -> np.ndarray:
 def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Place values at their window offsets, zeros elsewhere."""
     n, c, oh, ow = values.shape
-    out = np.empty((n, c, oh * 2, ow * 2), values.dtype)
+    out = empty((n, c, oh * 2, ow * 2), values.dtype)
     view = out.reshape(n, c, oh, 2, ow, 2)
     for off in range(4):
         # a dense select per corner, not a boolean-mask scatter
@@ -271,18 +292,30 @@ def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
+def _replicate_2x2(values: np.ndarray) -> np.ndarray:
+    """Copy each value across its 2x2 window: four strided writes."""
+    n, c, h, w = values.shape
+    out = empty((n, c, h * 2, w * 2), values.dtype)
+    view = out.reshape(n, c, h, 2, w, 2)
+    for i in range(2):
+        for j in range(2):
+            view[:, :, :, i, :, j] = values
+    return out
+
+
 def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
     """Window max with memorized argmax offsets; ties pick the lowest offset."""
     _check_divisible(x, "max_pool")
     corners = _windows_2x2(x.data)
-    offsets = corners.argmax(axis=0)
-    idx = PoolIndices(offsets.astype(np.int64))
+    offsets = corners.argmax(axis=0)  # intp: int64 on 64-bit platforms
+    idx = PoolIndices(offsets)
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(_scatter_2x2(g, offsets))
+            x.accumulate_grad(_scatter_2x2(g, offsets), own=True)
 
-    return make_op_output(corners.max(axis=0), (x,), bwd), idx
+    out = corners.max(axis=0, out=empty(offsets.shape, x.data.dtype))
+    return make_op_output(out, (x,), bwd), idx
 
 
 def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
@@ -292,7 +325,7 @@ def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
 
     def bwd(g):
         if y.requires_grad:
-            y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)))
+            y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)), own=True)
 
     return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), bwd)
 
@@ -302,33 +335,30 @@ def avg_pool(x: Tensor4) -> Tensor4:
     _check_divisible(x, "avg_pool")
     n, c, h, w = x.shape
     a = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    out = (a[:, :, :, 0, :, 0] + a[:, :, :, 0, :, 1]
-           + a[:, :, :, 1, :, 0] + a[:, :, :, 1, :, 1]) * 0.25
+    # ((a00 + a01) + a10 + a11) * 0.25, accumulated in the output
+    out = np.add(a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1],
+                 out=empty((n, c, h // 2, w // 2), x.data.dtype))
+    out += a[:, :, :, 1, :, 0]
+    out += a[:, :, :, 1, :, 1]
+    out *= 0.25
 
     def bwd(g):
         if x.requires_grad:
-            gs = g / 4
-            gx = np.empty((n, c, h, w), g.dtype)
-            view = gx.reshape(n, c, h // 2, 2, w // 2, 2)
-            for i in range(2):
-                for j in range(2):
-                    view[:, :, :, i, :, j] = gs
-            x.accumulate_grad(gx)
+            x.accumulate_grad(_replicate_2x2(g / 4), own=True)
 
     return make_op_output(out, (x,), bwd)
 
 
 def avg_upsample(y: Tensor4) -> Tensor4:
     """Replicate each value across its 2x2 window (exact right-inverse of avg_pool)."""
-    out = np.repeat(np.repeat(y.data, 2, axis=2), 2, axis=3)
 
     def bwd(g):
         if y.requires_grad:
             n, c, h, w = g.shape
             a = g.reshape(n, c, h // 2, 2, w // 2, 2)
-            y.accumulate_grad(a.sum(axis=(3, 5)))
+            y.accumulate_grad(a.sum(axis=(3, 5)), own=True)
 
-    return make_op_output(out, (y,), bwd)
+    return make_op_output(_replicate_2x2(y.data), (y,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +377,8 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
         if b.requires_grad:
             b.accumulate_grad(g[:, ca:])
 
-    return make_op_output(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
+    out = empty((na, ca + cb, ha, wa), np.result_type(a.data, b.data))
+    return make_op_output(np.concatenate([a.data, b.data], axis=1, out=out), (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +394,7 @@ def softmax_pixels(logits: Tensor4) -> Tensor4:
     def bwd(g):
         if logits.requires_grad:
             dot = (g * probs).sum(axis=1, keepdims=True)
-            logits.accumulate_grad(probs * (g - dot))
+            logits.accumulate_grad(probs * (g - dot), own=True)
 
     return make_op_output(probs, (logits,), bwd)
 
@@ -401,6 +432,6 @@ def weighted_cross_entropy(probs: Tensor4, labels: np.ndarray, w: ClassWeights) 
             gs = g.reshape(-1)[0]
             gp = np.zeros(probs.shape, g.dtype)
             np.put_along_axis(gp, labels[:, None], (-gs * pw / (p_label * total_w))[:, None], axis=1)
-            probs.accumulate_grad(gp)
+            probs.accumulate_grad(gp, own=True)
 
     return make_op_output(loss.reshape(1, 1, 1, 1), (probs,), bwd)

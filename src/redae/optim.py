@@ -17,7 +17,7 @@ from .data import Sample, crop_mask, pad_to_multiple
 from .errors import ConfigError, NumericError
 from .network import (Network, loss as net_loss, median_frequency_weights,
                       named_buffers, named_parameters, predict)
-from .tensor import Rng, Tape, Tensor4, backward
+from .tensor import BufferPool, Rng, Tape, Tensor4, backward
 
 
 @dataclass
@@ -121,6 +121,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     params = named_parameters(net)
     buffers = [buf for _, buf in named_buffers(net)]
     state = OptimizerState(params)
+    pool = BufferPool()  # each step's buffers, reused by the next step
     order_rng = Rng([cfg.seed, 0x0D0E])
     t0 = time.monotonic()
     step_no = 0
@@ -137,7 +138,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
             # change only in sgdm_step, which writes nothing when it raises
             stats = [buf.copy() for buf in buffers]
             try:
-                with Tape():
+                with Tape(pool):
                     l = net_loss(net, x, labels)
                     lv = l.item()
                     if not np.isfinite(lv):
@@ -156,6 +157,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
             log.steps.append((epoch, step_no, lv, time.monotonic() - t0))
 
         if val_set:
+            pool.clear()  # evaluation allocates its own buffers
             net.set_mode("eval")
             rep, _ = evaluate(net, val_set)
             log.epoch_metrics.append((epoch, rep))

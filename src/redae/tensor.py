@@ -8,10 +8,24 @@ gradient. Gradients are computed by recording primitive operations on a
 `Tape` (define-by-run) and replaying it in reverse. A tape is created per
 forward pass and consumed by a single `backward` call; the active tape is
 per thread (and per asyncio task).
+
+Ownership: a tensor owns its grad array. `backward` takes each op's output
+grad away from the output and hands it to that op's backward closure, which
+may overwrite it or pass it on with `accumulate_grad(..., own=True)`; once
+the closure has run, the record and everything it captured are dropped. So
+memory is freed as backward runs, and afterwards only leaves (parameters and
+inputs) hold grads: every op output's grad is None.
+
+Step buffers: ops take arrays that live for one step from `empty`. Inside a
+tape opened with a `BufferPool` these come from the pool, which hands an
+array out again once nothing else refers to it and keeps only the shapes
+the current step asks for, so a training run reuses the same memory every
+step. Anywhere else `empty` is `np.empty`.
 """
 
 from __future__ import annotations
 
+import sys
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -110,20 +124,107 @@ def _check_shape(shape: Sequence[int]) -> None:
 # Tape
 
 
+class BufferPool:
+    """Step buffers of one training run, handed out again across its steps.
+
+    `take` returns an array of the asked shape and dtype with arbitrary
+    contents. It hands out an array it made before only when the pool holds
+    the only reference to it: no variable, view (a view refers to its base),
+    tensor or recorded closure still uses it. That check reads CPython's
+    reference counts against `_unused_refs`, the count `take` sees for an
+    array only the pool holds, which is measured on the running interpreter
+    when this module is imported. When it cannot be measured the pool never
+    hands an array out twice, and `take` is `np.empty`.
+
+    The pool keeps only what the current step asks for: `Tape(pool)` starts
+    a step, and the first time a step needs an array the pool lacks, the
+    pool forgets every shape and dtype that step has not asked for yet. So
+    it holds about one step's buffers even when the batch shape changes
+    (a smaller last batch, images of another size).
+    """
+
+    _unused_refs: int | None = None  # set by `_measure_unused_refs` below
+
+    def __init__(self):
+        self._arrays: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
+        self._asked: set[tuple[tuple[int, ...], np.dtype]] = set()
+
+    def begin_step(self) -> None:
+        self._asked.clear()
+
+    def clear(self) -> None:
+        """Forget every array; those still in use live on with their users."""
+        self._arrays.clear()
+        self._asked.clear()
+
+    def take(self, shape, dtype) -> np.ndarray:
+        if self._unused_refs is None:
+            return np.empty(shape, dtype)
+        key = (tuple(shape), np.dtype(dtype))
+        self._asked.add(key)
+        same = self._arrays.setdefault(key, [])
+        for arr in same:
+            if sys.getrefcount(arr) == self._unused_refs:
+                return arr
+        if len(self._arrays) > len(self._asked):
+            self._arrays = {k: v for k, v in self._arrays.items() if k in self._asked}
+        arr = np.empty(shape, dtype)
+        same.append(arr)
+        return arr
+
+
+def _measure_unused_refs() -> int | None:
+    """The reference count `BufferPool.take` reads for an array only it holds.
+
+    Measured by running `take` itself, so it matches the running
+    interpreter's bytecode (CPython 3.14, for one, borrows references that
+    earlier versions count). A count is accepted only if, over enough calls
+    to outlast the interpreter's specialisation of hot code, `take` hands
+    an unused array out again and never one held by a variable or a view.
+    None if no count passes.
+    """
+    shape = (2,)
+    for refs in range(1, 8):
+        pool = BufferPool()
+        pool._unused_refs = refs
+        for _ in range(64):
+            first = id(pool.take(shape, np.float32))
+            held = pool.take(shape, np.float32)
+            if id(held) != first:
+                break
+            view = pool.take(shape, np.float32)[1:]
+            if id(view.base) == first:
+                break
+            if id(pool.take(shape, np.float32)) in (id(held), id(view.base)):
+                break
+            del held, view
+        else:
+            return refs
+    return None
+
+
+BufferPool._unused_refs = _measure_unused_refs()
+
+
 class Tape:
     """Ordered record of differentiable primitives for one forward pass.
 
     Use as a context manager; operations executed inside record themselves
     when any input requires gradients. `backward` replays the record once,
-    in reverse, then clears it.
+    in reverse, dropping each op as it goes. A tape opened with a `pool`
+    starts a step of it and serves the step buffers of `empty` from it
+    while the tape is active.
     """
 
-    def __init__(self):
+    def __init__(self, pool: BufferPool | None = None):
         self._ops: list[tuple[Tensor4, Callable[[np.ndarray], None]]] = []
         self._consumed = False
         self._token = None
+        self.pool = pool
 
     def __enter__(self) -> "Tape":
+        if self.pool is not None:
+            self.pool.begin_step()
         self._token = _ACTIVE_TAPE.set(self)
         return self
 
@@ -145,12 +246,23 @@ def active_tape() -> Tape | None:
     return _ACTIVE_TAPE.get()
 
 
+def empty(shape, dtype) -> np.ndarray:
+    """An uninitialised step buffer: from the active tape's pool, else `np.empty`."""
+    tape = _ACTIVE_TAPE.get()
+    if tape is None or tape.pool is None:
+        return np.empty(shape, dtype)
+    return tape.pool.take(shape, dtype)
+
+
 def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
                    backward_fn: Callable[[np.ndarray], None]) -> Tensor4:
     """Create an op result, recording `backward_fn` when gradients are tracked.
 
-    `backward_fn(g)` takes the output's gradient and accumulates into the
-    inputs. It is recorded only when a tape is open and some input requires
+    `data` becomes the output's array as is. `backward_fn(g)` takes the
+    output's gradient and accumulates into the inputs. It owns `g`: it may
+    overwrite it, or hand it on with `own=True`, since backward has already
+    taken it away from the output (whose grad stays None after backward).
+    It is recorded only when a tape is open and some input requires
     gradients; otherwise it is dropped along with whatever it captured.
     """
     tape = active_tape()
@@ -163,10 +275,15 @@ def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
 
 
 def backward(loss: Tensor4) -> None:
-    """Populate grads of every tracked tensor reachable from `loss`.
+    """Populate grads of the leaves (parameters, inputs) reachable from `loss`.
 
     The loss must be scalar-shaped (1,1,1,1). The tape that produced it is
-    consumed: a second backward without a new forward pass raises.
+    consumed: a second backward without a new forward pass raises. Each
+    recorded op is popped in reverse order and its closure is handed the
+    output's grad to own; the output's grad is set to None first, and the
+    record is dropped once the closure has run, so intermediate grads and
+    captured activations are freed during backward. Afterwards every op
+    output's grad is None; only leaves keep theirs.
     """
     if loss.shape != (1, 1, 1, 1):
         raise AutodiffError(f"backward requires a (1,1,1,1) loss, got {loss.shape}")
@@ -177,12 +294,14 @@ def backward(loss: Tensor4) -> None:
         raise AutodiffError("tape already consumed; run a new forward pass")
     if not tape._ops:
         raise AutodiffError("tape is empty")
-    loss.accumulate_grad(np.ones_like(loss.data))
-    for out, fn in reversed(tape._ops):
-        if out.grad is not None:
-            fn(out.grad)
-    tape._ops.clear()
     tape._consumed = True
+    loss.accumulate_grad(np.ones_like(loss.data))
+    ops = tape._ops
+    while ops:
+        out, fn = ops.pop()
+        g, out.grad = out.grad, None
+        if g is not None:
+            fn(g)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,22 @@ class TestRoundTrip:
         back = C.load(p)
         assert all(b.bn.mode == "eval" for b in back.encoders + back.decoders)
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = trained_net()
+        p = str(tmp_path / "m.ckpt")
+        C.save(net, p)
+
+        def normal(self, shape, scale=1.0):
+            raise AssertionError("load drew a random initialisation")
+
+        monkeypatch.setattr(Rng, "normal", normal)
+        back = C.load(p)
+        for (na, ta), (nb, tb) in zip(N.named_parameters(net), N.named_parameters(back)):
+            assert na == nb and tb.data.dtype == np.float32
+            assert ta.data.tobytes() == tb.data.tobytes(), na
+        for (na, a), (nb, b) in zip(N.named_buffers(net), N.named_buffers(back)):
+            assert na == nb and a.tobytes() == b.tobytes(), na
+
     def test_save_load_save_is_byte_stable(self, tmp_path):
         net = trained_net()
         p1 = tmp_path / "a.ckpt"

@@ -9,7 +9,7 @@ import redae.network as N
 import redae.optim as O
 from redae.data import generate_phantoms
 from redae.errors import ConfigError
-from redae.tensor import Rng, Tape, Tensor4, backward
+from redae.tensor import BufferPool, Rng, Tape, Tensor4, backward
 
 
 @pytest.fixture
@@ -77,6 +77,8 @@ class _AllocationSpy:
 
     Every call to a function that returns a new array records the array's
     dtype; everything else passes through to numpy unchanged.
+    `tensor_empty` wraps the layers' step-buffer allocator, `tensor.empty`,
+    the same way, pooled or not.
     """
 
     ALLOCATORS = ("zeros", "empty", "ones", "full", "zeros_like", "empty_like",
@@ -90,28 +92,36 @@ class _AllocationSpy:
         fn = getattr(np, name)
         if name not in self.ALLOCATORS:
             return fn
+        return self._recording(name, fn)
 
+    def _recording(self, name, fn):
         def record(*args, **kwargs):
             out = fn(*args, **kwargs)
             self.dtypes.append((name, out.dtype))
             return out
         return record
 
+    def tensor_empty(self, empty):
+        return self._recording("tensor.empty", empty)
+
 
 def test_float32_layers_allocate_no_float64(monkeypatch):
     # a float64 scratch buffer whose values are copied back into a float32
     # array changes no output dtype, so only its allocation shows it
-    spy = _AllocationSpy()
     net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
     net.class_weights = L.ClassWeights([0.5, 1.0, 4.0])
     x = Rng(2).tensor_normal((2, 1, 8, 8))
     labels = np.asarray(Rng(3).integers(0, 3, (2, 8, 8)), dtype=np.int64)
-    monkeypatch.setattr(L, "np", spy)
-    with Tape():
-        backward(N.loss(net, x, labels))
-    names = {name for name, _ in spy.dtypes}
-    assert {"zeros", "empty", "stack", "where", "matmul"} <= names
-    assert [(n, d) for n, d in spy.dtypes if d == np.float64] == []
+    empty = L.empty
+    for pool in (None, BufferPool()):
+        spy = _AllocationSpy()
+        monkeypatch.setattr(L, "np", spy)
+        monkeypatch.setattr(L, "empty", spy.tensor_empty(empty))
+        with Tape(pool):
+            backward(N.loss(net, x, labels))
+        names = {name for name, _ in spy.dtypes}
+        assert {"tensor.empty", "zeros", "stack", "where", "matmul"} <= names
+        assert [(n, d) for n, d in spy.dtypes if d == np.float64] == []
 
 
 def test_load_and_evaluate_run_in_float32(tmp_path, dtype_spy):

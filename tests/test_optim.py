@@ -1,5 +1,7 @@
 """Optimizer update rule, training loop behavior, and evaluation."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,77 @@ class TestTrainLoop:
         net = N.build("re-dae", (2, 3), 3, Rng(3))
         O.train(net, samples, None, tiny_cfg(epochs=1))
         assert np.allclose(net.class_weights.w, 1.0)
+
+    def test_pooled_steps_match_plain_tapes(self, monkeypatch):
+        # the second step runs on buffers the pool hands out again, so any
+        # op that read a buffer before writing all of it would show here
+        samples = tiny_dataset(4)
+        taken = []
+        take = O.BufferPool.take
+
+        def take_recorded(pool, shape, dtype):
+            arr = take(pool, shape, dtype)
+            taken.append(id(arr))
+            return arr
+
+        monkeypatch.setattr(O.BufferPool, "take", take_recorded)
+        states = []
+
+        class State(O.OptimizerState):
+            def __init__(self, params):
+                super().__init__(params)
+                states.append(self)
+
+        monkeypatch.setattr(O, "OptimizerState", State)
+        runs = []
+        tape_cls = O.Tape
+        for tape in (tape_cls, lambda pool: tape_cls()):
+            monkeypatch.setattr(O, "Tape", tape)
+            net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+            _, log = O.train(net, samples, None, tiny_cfg(epochs=1))
+            runs.append(([l for _, _, l, _ in log.steps],
+                         [t.data for _, t in N.named_parameters(net)],
+                         list(states[-1].velocity.values()),
+                         [b for _, b in N.named_buffers(net)]))
+        assert len(runs[0][0]) == 2
+        assert len(set(taken)) < len(taken)  # the pooled run reused buffers
+        for pooled, plain in zip(*runs):
+            assert len(pooled) == len(plain)
+            for a, b in zip(pooled, plain):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_pool_holds_one_steps_buffers_across_image_sizes(self, monkeypatch):
+        # steps on one shape reuse the first step's buffers; a step on another
+        # shape makes its own and the pool forgets the old shape's
+        steps = []
+        take = O.BufferPool.take
+
+        def take_recorded(pool, shape, dtype):
+            arr = take(pool, shape, dtype)
+            steps[-1][id(arr)] = weakref.ref(arr)
+            return arr
+
+        pools = []
+
+        class Pool(O.BufferPool):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+            def begin_step(self):
+                super().begin_step()
+                steps.append({})
+
+        monkeypatch.setattr(O, "BufferPool", Pool)
+        monkeypatch.setattr(Pool, "take", take_recorded)
+        samples = tiny_dataset(2, size=36) + tiny_dataset(2, size=32)
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+        O.train(net, samples, None, tiny_cfg(epochs=1, batch_size=1, shuffle=False))
+        assert len(steps) == 4
+        assert steps[1].keys() <= steps[0].keys() and steps[3].keys() <= steps[2].keys()
+        assert all(ref() is None for ref in steps[0].values())  # freed
+        held = [a for arrays in pools[0]._arrays.values() for a in arrays]
+        assert {id(a) for a in held} == steps[3].keys() == steps[2].keys()
 
     def test_nan_abort_restores_parameters(self):
         samples = tiny_dataset(4)

@@ -1,13 +1,17 @@
-"""Core tensor, tape, and autodiff tests."""
+"""Core tensor, tape, buffer pool and autodiff tests."""
+
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redae.network as N
 from redae.errors import AutodiffError, NumericError, ShapeError
-from redae.tensor import (Rng, Tape, Tensor4, active_tape, astype, backward,
-                          from_values, full, grad_check, mul, sum_all, zeros)
+from redae.tensor import (BufferPool, Rng, Tape, Tensor4, _measure_unused_refs,
+                          active_tape, astype, backward, empty, from_values,
+                          full, grad_check, mul, sum_all, zeros)
 
 
 class TestTensor4:
@@ -144,6 +148,103 @@ class TestTape:
             backward(mul(sq, sq))
         assert a.grad is not None
         assert a.grad.item() == pytest.approx(108.0)
+
+    def test_backward_releases_replayed_grads(self, monkeypatch):
+        # while a closure runs, every op output already replayed (this one
+        # included) holds no grad; afterwards only the leaves hold grads
+        replayed = []
+        record = Tape.record
+
+        def record_checked(tape, out, backward_fn):
+            def checked(g):
+                replayed.append(out)
+                assert all(o.grad is None for o in replayed)
+                backward_fn(g)
+            record(tape, out, checked)
+
+        monkeypatch.setattr(Tape, "record", record_checked)
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+        x = Rng(2).tensor_normal((2, 1, 8, 8), requires_grad=True)
+        labels = np.asarray(Rng(3).integers(0, 3, (2, 8, 8)), dtype=np.int64)
+        with Tape():
+            loss = N.loss(net, x, labels)
+            backward(loss)
+        assert len(replayed) > 30 and loss in replayed
+        assert all(o.grad is None for o in replayed)
+        assert x.grad is not None
+        assert all(t.grad is not None for _, t in N.named_parameters(net))
+
+
+class TestBufferPool:
+    SHAPE = (1, 2, 4, 4)
+
+    def test_unreferenced_array_is_handed_out_again(self):
+        pool = BufferPool()
+        first = weakref.ref(pool.take(self.SHAPE, np.float32))
+        assert first() is not None  # the pool keeps it
+        assert pool.take(self.SHAPE, np.float32) is first()
+        # another shape or dtype gets an array of its own
+        assert pool.take((1, 2, 4, 5), np.float32) is not first()
+        assert pool.take(self.SHAPE, np.float64) is not first()
+
+    def test_referenced_arrays_are_not_handed_out_again(self):
+        pool = BufferPool()
+        held = pool.take(self.SHAPE, np.float32)
+        tensor = Tensor4(pool.take(self.SHAPE, np.float32), validate=False)
+        view = pool.take(self.SHAPE, np.float32)[:, 1:]
+
+        def closure_over(arr):
+            return lambda g: arr.sum()
+
+        captured = weakref.ref(pool.take(self.SHAPE, np.float32))
+        tape = Tape(pool)
+        tape.record(zeros((1, 1, 1, 1)), closure_over(captured()))
+        live = [held, tensor.data, view.base, captured()]
+        assert len({id(a) for a in live}) == 4
+        fresh = [pool.take(self.SHAPE, np.float32) for _ in range(2)]
+        assert fresh[0] is not fresh[1]
+        assert not any(f is a for f in fresh for a in live)
+
+    def test_unused_count_is_measured_on_this_interpreter(self):
+        # the count that marks an array as unused depends on the interpreter's
+        # bytecode; it is measured at import, and pooling is on wherever the
+        # measurement succeeds, so the tests above exercise the real check
+        assert BufferPool._unused_refs is not None
+        assert _measure_unused_refs() == BufferPool._unused_refs
+
+    def test_pool_without_a_measured_count_never_hands_out_twice(self, monkeypatch):
+        monkeypatch.setattr(BufferPool, "_unused_refs", None)
+        pool = BufferPool()
+        first = weakref.ref(pool.take(self.SHAPE, np.float32))
+        assert first() is None  # the pool kept nothing
+        with Tape(pool):
+            kept = empty(self.SHAPE, np.float32)
+            assert empty(self.SHAPE, np.float32) is not kept
+
+    def test_a_miss_forgets_shapes_the_step_has_not_asked_for(self):
+        pool = BufferPool()
+        with Tape(pool):
+            old = weakref.ref(empty(self.SHAPE, np.float32))
+            held = empty((1, 1, 2, 2), np.float32)
+        with Tape(pool):
+            assert empty(self.SHAPE, np.float32) is old()  # a hit forgets nothing
+            new = weakref.ref(empty((1, 2, 2, 2), np.float32))  # a miss
+            assert old() is not None  # asked for in this step: kept
+        with Tape(pool):
+            empty((1, 3, 2, 2), np.float32)  # a miss in a new step
+            assert old() is None and new() is None
+            # an array still in use outlives the pool forgetting it
+            assert held.shape == (1, 1, 2, 2)
+            assert empty((1, 1, 2, 2), np.float32) is not held
+
+    def test_empty_draws_from_the_active_tapes_pool_only(self):
+        pool = BufferPool()
+        with Tape(pool):
+            first = weakref.ref(empty(self.SHAPE, np.float32))
+            assert empty(self.SHAPE, np.float32) is first()
+        with Tape():
+            assert empty(self.SHAPE, np.float32) is not first()
+        assert empty(self.SHAPE, np.float32) is not first()
 
 
 class TestElementwiseOps:
