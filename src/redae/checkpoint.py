@@ -28,7 +28,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .layers import ClassWeights
 from .network import Network, build, named_buffers, named_parameters
 
@@ -123,8 +123,11 @@ def load(path: str) -> Network:
     widths = [r.unpack("<I")[0] for _ in range(n_widths)]
     weights = np.frombuffer(r.take(8 * classes), dtype="<f8").copy()
 
-    net = build(variant, widths, classes, _ZeroDraws(), in_channels=in_channels,
-                kernel=kernel, dtype=np.float32)
+    try:
+        net = build(variant, widths, classes, _ZeroDraws(), in_channels=in_channels,
+                    kernel=kernel, dtype=np.float32)
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
     net.class_weights = ClassWeights(weights)
     params = dict(named_parameters(net))
     buffers = dict(named_buffers(net))
@@ -152,5 +155,4 @@ def load(path: str) -> Network:
         raise DataError(f"{path}: missing tensors {', '.join(missing)}")
     if r.pos != len(r.raw):
         raise DataError(f"{path}: {len(r.raw) - r.pos} trailing bytes after the tensors")
-    net.set_mode("eval")
     return net

@@ -17,7 +17,7 @@ from . import metrics as M
 from .config import RunConfig
 from .data import N_CLASSES, read_dataset, write_dataset
 from .errors import ConfigError, DataError, NumericError, RedaeError
-from .network import build
+from .network import VARIANTS, build
 from .optim import TrainConfig, TrainLog, carve_validation, evaluate, segment, train
 from .pipeline import generate_dataset, overlay, preprocess
 from .tensor import Rng
@@ -167,8 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--data", required=True)
     t.add_argument("--config", default=None)
-    t.add_argument("--variant", default=None,
-                   choices=["sa-re-dae", "re-dae", "max-only", "avg-only"])
+    t.add_argument("--variant", default=None, choices=VARIANTS)
     t.add_argument("--seed", type=int, default=None)
     t.add_argument("--out", required=True)
     t.set_defaults(func=cmd_train)

@@ -202,18 +202,11 @@ def _affine_sample(image: np.ndarray, mask: np.ndarray, angle_deg: float,
 
     Image is resampled bilinearly, mask nearest-neighbor; out-of-frame
     regions are filled with 0 (background). When the transform is a pure
-    flip the result is bit-exact.
+    flip (or the identity) every output pixel lands on an input pixel with
+    zero interpolation weight elsewhere, so the result is bit-exact.
     """
     h, w = mask.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-
-    if angle_deg == 0.0 and scl == 1.0:  # exact index path for flips/identity
-        img, msk = image, mask
-        if flip_h:
-            img, msk = img[:, ::-1], msk[:, ::-1]
-        if flip_v:
-            img, msk = img[::-1], msk[::-1]
-        return img.copy(), msk.copy()
 
     # inverse mapping: output pixel -> input coordinate
     theta = np.deg2rad(angle_deg)
@@ -251,11 +244,6 @@ def _affine_sample(image: np.ndarray, mask: np.ndarray, angle_deg: float,
                + p[y1, x0] * fy * (1 - fx) + p[y1, x1] * fy * fx)
         out_img[:, :, c] = np.where(inside, val, 0.0)
     return out_img, out_mask
-
-
-def flip_x(s: Sample) -> Sample:
-    """Reflection across the vertical axis (exact involution)."""
-    return Sample(image=s.image[:, ::-1].copy(), mask=s.mask[:, ::-1].copy(), id=s.id)
 
 
 def augment(s: Sample, spec: AugmentSpec, rng: Rng) -> Sample:

@@ -13,7 +13,7 @@ import numpy as np
 from .data import Sample
 from .errors import ConfigError, DataError
 from .metrics import dice_frac
-from .network import VARIANTS, build
+from .network import build
 from .optim import TrainConfig, TrainLog, evaluate, segment, train
 from .tensor import Rng
 
@@ -69,8 +69,6 @@ class HybridPoolingSegmenter:
     def fit(self, X, y) -> "HybridPoolingSegmenter":
         X = _as_image_array(X)
         y = _as_mask_array(y, X.shape[0], X.shape[1:3])
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         samples = [Sample(image=X[i], mask=y[i], id=f"fit{i}") for i in range(X.shape[0])]
         net = build(self.variant, self.widths, self.classes, Rng(self.seed),
                     in_channels=X.shape[3])

@@ -1,17 +1,20 @@
 """Primitive network layers: convolution, batch norm, pooling, fusion, loss.
 
-All layers are pure functions over (input, params). Each defines its
-backward rule as a closure `bwd(g)` and hands it to `make_op_output`, which
-records it on the active tape. Every op computes and allocates its scratch
-buffers in its input's dtype (float32 or float64), with params in the same
-dtype, so nothing upcasts. Arrays that live for a step (padded inputs,
-im2col columns, outputs, the col2im buffer) come from `tensor.empty`, which
-a training run serves from its `BufferPool`; a backward closure owns the
-grad it is handed and writes into it where it can. Every convolution
-zero-pads to keep the spatial size ("same"). Pooling uses the paper's
-non-overlapping 2x2 windows with stride 2; max-pooling memorizes per-window
-argmax offsets so the decoder can place values back exactly during
-unpooling.
+All layers are pure functions over (input, params), except batch norm in
+training, which also updates its running statistics. The caller chooses:
+`batch_norm(x, p, train)` normalizes with the batch's statistics when `train`
+is true, and with the running statistics, leaving them as they are, when it
+is false. Each layer defines its backward rule as a closure `bwd(g)` and
+hands it to `make_op_output`, which records it on the active tape. Every op
+computes and allocates its scratch buffers in its input's dtype (float32 or
+float64), with params in the same dtype, so nothing upcasts. Arrays that
+live for a step (padded inputs, im2col columns, outputs, the col2im buffer)
+come from `tensor.empty`, which a training run serves from its
+`BufferPool`; a backward closure owns the grad it is handed and writes into
+it where it can. Every convolution zero-pads to keep the spatial size
+("same"). Pooling uses the paper's non-overlapping 2x2 windows with stride
+2; max-pooling memorizes per-window argmax offsets so the decoder can place
+values back exactly during unpooling.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ class ConvParams:
             raise ShapeError(f"bias shape {self.bias.shape} does not match {c_out} filters")
 
     @property
-    def c_in(self) -> int:
-        return self.filters.shape[1]
-
-    @property
     def c_out(self) -> int:
         return self.filters.shape[0]
 
@@ -67,9 +66,7 @@ class PoolIndices:
 class BatchNormParams:
     """Per-channel affine normalization with running statistics.
 
-    `mode` selects batch statistics ("train", with a running-stat update)
-    or frozen running statistics ("eval"). Running variance is tracked with
-    the biased batch estimate.
+    Running variance is tracked with the biased batch estimate.
     """
 
     gamma: Tensor4  # (1, c, 1, 1)
@@ -78,7 +75,6 @@ class BatchNormParams:
     running_var: np.ndarray = field(default=None)  # (c,)
     epsilon: float = 1e-5
     momentum: float = 0.1
-    mode: str = "train"
 
     def __post_init__(self):
         c = self.gamma.shape[1]
@@ -107,9 +103,6 @@ class ClassWeights:
         self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(self.w)) or np.any(self.w <= 0):
             raise NumericError("class weights must be finite and strictly positive")
-
-    def __len__(self) -> int:
-        return len(self.w)
 
     @staticmethod
     def unit(classes: int) -> "ClassWeights":
@@ -214,31 +207,27 @@ def relu(x: Tensor4) -> Tensor4:
 # Batch normalization
 
 
-def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
+def batch_norm(x: Tensor4, p: BatchNormParams, train: bool) -> Tensor4:
+    """Batch statistics and a running-stat update if `train`, else running statistics."""
     n, c, h, w = x.shape
     if c != p.channels:
         raise ShapeError(f"batch_norm: input has {c} channels, params expect {p.channels}")
     axes = (0, 2, 3)
-    count = n * h * w
-
-    if p.mode == "train":
-        if count < 2:
-            raise ShapeError("batch_norm train mode needs >= 2 values per channel")
+    if train:
+        if n * h * w < 2:
+            raise ShapeError("batch_norm in training needs >= 2 values per channel")
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
         p.running_mean += p.momentum * (mean - p.running_mean)
         p.running_var += p.momentum * (var - p.running_var)
-    elif p.mode == "eval":
-        mean, var = p.running_mean, p.running_var
     else:
-        raise ShapeError(f"unknown batch_norm mode {p.mode!r}")
+        mean, var = p.running_mean, p.running_var
 
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
     xhat = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=empty(x.shape, x.data.dtype))
     xhat *= inv_std.reshape(1, c, 1, 1)
     out = np.multiply(xhat, p.gamma.data, out=empty(x.shape, x.data.dtype))
     out += p.beta.data
-    train_mode = p.mode == "train"
 
     def bwd(g):
         if p.beta.requires_grad:
@@ -250,7 +239,7 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
             # g and xhat are not read again
             gk = g
             gk *= p.gamma.data
-            if train_mode:
+            if train:
                 m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
                 m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
                 gk -= m1

@@ -160,15 +160,6 @@ class MetricsReport:
             "total_pixels": self.total_pixels,
         }, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "MetricsReport":
-        d = json.loads(text)
-        return MetricsReport(classes=[ClassMetrics(**c) for c in d["classes"]],
-                             global_accuracy=d["global_accuracy"],
-                             mean_accuracy=d["mean_accuracy"],
-                             weighted_iou=d["weighted_iou"],
-                             total_pixels=d["total_pixels"])
-
 
 def compute_report(counts: ConfusionCounts,
                    class_names=DEFAULT_CLASS_NAMES) -> MetricsReport:

@@ -71,14 +71,6 @@ class Network:
         """Input height and width must divide by this: each encoder halves them."""
         return 2 ** len(self.encoders)
 
-    @property
-    def hybrid(self) -> bool:
-        return self.variant in ("re-dae", "sa-re-dae")
-
-    def set_mode(self, mode: str) -> None:
-        for blk in self.encoders + self.decoders:
-            blk.bn.mode = mode
-
 
 def _param(values: np.ndarray, dtype) -> Tensor4:
     return Tensor4(values.astype(dtype), requires_grad=True, validate=False)
@@ -120,12 +112,12 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
     same seed start from the same point to float32 resolution.
     """
     if variant not in VARIANTS:
-        raise ShapeError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+        raise ConfigError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     channels = tuple(int(c) for c in channels)
     if len(channels) != 2:
-        raise ShapeError(f"expected 2 encoder widths, got {len(channels)}")
+        raise ConfigError(f"expected 2 encoder widths, got {len(channels)}")
     if classes < 2:
-        raise ShapeError(f"need at least 2 classes, got {classes}")
+        raise ConfigError(f"need at least 2 classes, got {classes}")
     hybrid = variant in ("re-dae", "sa-re-dae")
     dtype = np.dtype(dtype)
     if dtype not in FLOAT_DTYPES:
@@ -185,12 +177,13 @@ def named_buffers(net: Network) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def parameter_count(net: Network) -> int:
-    return sum(t.data.size for _, t in named_parameters(net))
+def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
+    """Full-resolution class logits (n, classes, h, w), in the network's dtype.
 
-
-def forward(net: Network, x: Tensor4) -> Tensor4:
-    """Full-resolution class logits (n, classes, h, w), in the network's dtype."""
+    `train` selects batch norm's statistics: the batch's, updating the
+    running statistics, for a training step (`loss` passes True); the
+    running statistics, left as they are, for inference.
+    """
     n, c, h, w = x.shape
     if c != net.in_channels:
         raise ShapeError(f"forward: input has {c} channels, network expects {net.in_channels}")
@@ -203,7 +196,7 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
     indices = []
     t = astype(x, net.dtype)
     for enc in net.encoders:
-        t = relu(batch_norm(conv2d(t, enc.conv), enc.bn))
+        t = relu(batch_norm(conv2d(t, enc.conv), enc.bn, train))
         if net.variant == "avg-only":
             t = avg_pool(t)
         elif net.variant == "max-only":
@@ -222,7 +215,7 @@ def forward(net: Network, x: Tensor4) -> Tensor4:
         else:
             up = max_unpool(t, indices[-(i + 1)])
             t = conv2d(concat_channels(up, avg_upsample(t)), dec.fuse)
-        t = relu(batch_norm(conv2d(t, dec.conv), dec.bn))
+        t = relu(batch_norm(conv2d(t, dec.conv), dec.bn, train))
 
     return conv2d(t, net.head)
 
@@ -238,8 +231,12 @@ def predict(net: Network, x: Tensor4) -> np.ndarray:
 
 
 def loss(net: Network, x: Tensor4, labels: np.ndarray) -> Tensor4:
-    """Weighted cross-entropy of softmax probabilities against a label mask."""
-    probs = softmax_pixels(forward(net, x))
+    """Weighted cross-entropy of softmax probabilities against a label mask.
+
+    A training loss: batch norm uses the batch's statistics and updates the
+    running statistics.
+    """
+    probs = softmax_pixels(forward(net, x, train=True))
     return weighted_cross_entropy(probs, labels, net.class_weights)
 
 

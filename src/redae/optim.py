@@ -2,7 +2,9 @@
 
 `segment` is the one inference path: it pads an image to the network's input
 multiple, predicts and crops the mask back. `evaluate`, `redae predict` and
-the estimator all go through it.
+the estimator all go through it. Training steps run batch norm on the
+batch's statistics (`network.loss`); inference runs it on the running
+statistics and never writes them, whatever the network went through before.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ def _batch_tensors(samples: list[Sample]) -> tuple[Tensor4, np.ndarray]:
 
 def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
           cfg: TrainConfig, log: TrainLog | None = None) -> tuple[Network, TrainLog]:
-    """Train in place; returns the network in eval mode plus the log.
+    """Train in place; returns the network plus the log.
 
     Static-attention weights are computed once from the training split before
     the first epoch (sa-re-dae only). A step is all or nothing: a NaN/Inf
@@ -127,7 +129,6 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     step_no = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        net.set_mode("train")
         order = list(range(len(padded)))
         if cfg.shuffle:
             order_rng.shuffle(order)
@@ -158,11 +159,9 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
 
         if val_set:
             pool.clear()  # evaluation allocates its own buffers
-            net.set_mode("eval")
             rep, _ = evaluate(net, val_set)
             log.epoch_metrics.append((epoch, rep))
 
-    net.set_mode("eval")
     return net, log
 
 
@@ -181,8 +180,8 @@ def segment(net: Network, image: np.ndarray) -> np.ndarray:
     """Class mask (h, w) uint8 of one (h, w, c) image of any size.
 
     The image is zero-padded right/bottom to `net.input_multiple`, predicted
-    as a batch of one, and the mask cropped back to (h, w). The network
-    should be in eval mode, as `train` and `checkpoint.load` leave it.
+    as a batch of one, and the mask cropped back to (h, w). Batch norm uses
+    the running statistics and leaves them as they are.
     """
     s = Sample(image=image, mask=np.zeros(image.shape[:2], dtype=np.uint8), id="segment")
     padded, crop = pad_to_multiple(s, net.input_multiple)
@@ -194,7 +193,6 @@ def evaluate(net: Network, samples: list[Sample]) -> tuple[M.MetricsReport, M.Co
     """Segment every sample in order and accumulate pixel confusion counts."""
     if not samples:
         raise ConfigError("evaluation set is empty")
-    net.set_mode("eval")
     counts = M.ConfusionCounts(net.classes)
     for s in samples:
         M.accumulate(counts, segment(net, s.image), s.mask)

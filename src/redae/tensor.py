@@ -91,35 +91,6 @@ class Tensor4:
         return f"Tensor4(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def zeros(shape: Sequence[int], requires_grad: bool = False) -> Tensor4:
-    _check_shape(shape)
-    return Tensor4(np.zeros(tuple(shape)), requires_grad=requires_grad, validate=False)
-
-
-def full(shape: Sequence[int], value: float, requires_grad: bool = False) -> Tensor4:
-    _check_shape(shape)
-    return Tensor4(np.full(tuple(shape), float(value)), requires_grad=requires_grad)
-
-
-def from_values(shape: Sequence[int], values, requires_grad: bool = False) -> Tensor4:
-    _check_shape(shape)
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = int(np.prod(shape))
-    if arr.size != n:
-        raise ShapeError(f"shape {tuple(shape)} needs {n} values, got {arr.size}")
-    return Tensor4(arr.reshape(tuple(shape)), requires_grad=requires_grad)
-
-
-def _check_shape(shape: Sequence[int]) -> None:
-    if len(shape) != 4:
-        raise ShapeError(f"expected 4 dimensions, got {len(shape)}")
-    for d in shape:
-        if int(d) < 1:
-            raise ShapeError(f"all dimensions must be >= 1, got {tuple(shape)}")
-    if int(np.prod([int(d) for d in shape], dtype=object)) > 2**40:
-        raise ShapeError(f"shape {tuple(shape)} overflows the supported size")
-
-
 # ---------------------------------------------------------------------------
 # Tape
 
@@ -320,33 +291,6 @@ def astype(a: Tensor4, dtype) -> Tensor4:
     return make_op_output(a.data.astype(dtype), (a,), bwd)
 
 
-def _binary_shapes(a: Tensor4, b: Tensor4, name: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{name}: shape mismatch {a.shape} vs {b.shape} (no broadcasting)")
-
-
-def mul(a: Tensor4, b: Tensor4) -> Tensor4:
-    _binary_shapes(a, b, "mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * b.data)
-        if b.requires_grad:
-            b.accumulate_grad(g * a.data)
-
-    return make_op_output(a.data * b.data, (a, b), bwd)
-
-
-def sum_all(a: Tensor4) -> Tensor4:
-    """Sum every element into a scalar-shaped tensor."""
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0]))
-
-    return make_op_output(np.array(a.data.sum()).reshape(1, 1, 1, 1), (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # Deterministic RNG
 
@@ -364,10 +308,6 @@ class Rng:
             entropy = [entropy]
         self.entropy: tuple[int, ...] = tuple(int(e) for e in entropy)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(self.entropy))))
-
-    @property
-    def seed(self) -> int:
-        return self.entropy[0]
 
     def child(self, index: int) -> "Rng":
         return Rng(list(self.entropy) + [int(index)])

@@ -19,11 +19,9 @@ import redae.metrics as M
 import redae.network as N
 from redae.data import hist_equalize
 from redae.optim import OptimizerState, TrainConfig, sgdm_step
-from redae.tensor import Rng, Tensor4, from_values, grad_check, mul, sum_all
+from redae.tensor import Rng, Tensor4, grad_check
 
-from _benchmark import cached_benchmark
-
-BENCH_SEEDS = (42, 43, 44)
+from _benchmark import BENCH_SEEDS, RUNS, cached_benchmark
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -35,11 +33,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def bench():
     """All twelve benchmark runs, cached on disk across sessions."""
-    out = {}
-    for variant in N.VARIANTS:
-        for seed in BENCH_SEEDS:
-            out[(variant, seed)] = cached_benchmark(variant, seed)
-    return out
+    return {run: cached_benchmark(*run) for run in RUNS}
 
 
 def test_criterion_1_gradient_correctness():
@@ -130,7 +124,7 @@ def test_criterion_3_metric_oracle():
 def test_criterion_4_hand_derived_values():
     """Momentum recurrence, equalization example, and uniform CE loss."""
     # SGDM: lr=0.1, mu=0.9, g=1 twice from w0=0 gives w2 = -0.29
-    params = [("w", from_values((1, 1, 1, 1), [0.0], requires_grad=True))]
+    params = [("w", Tensor4(np.zeros((1, 1, 1, 1)), requires_grad=True))]
     state = OptimizerState(params)
     cfg = TrainConfig(learning_rate=0.1, momentum=0.9)
     for _ in range(2):

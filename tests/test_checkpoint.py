@@ -53,13 +53,6 @@ class TestRoundTrip:
         rel = np.abs(a - b) / np.maximum(1.0, np.abs(a))
         assert rel.max() <= 1e-5
 
-    def test_loaded_network_is_in_eval_mode(self, tmp_path):
-        net = trained_net()
-        p = str(tmp_path / "m.ckpt")
-        C.save(net, p)
-        back = C.load(p)
-        assert all(b.bn.mode == "eval" for b in back.encoders + back.decoders)
-
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
         net = trained_net()
         p = str(tmp_path / "m.ckpt")
@@ -201,6 +194,18 @@ class TestIntegrity:
         p = self._saved(tmp_path)
         self._rewrite_tensors(p, lambda ts: (ts, b"\0" * 8))
         with pytest.raises(DataError, match="trailing"):
+            C.load(str(p))
+
+    def test_unbuildable_variant_is_data_error(self, tmp_path):
+        # a file naming a variant this version cannot build is bad data,
+        # not a configuration mistake of the caller
+        import zlib
+        p = self._saved(tmp_path)
+        raw = bytearray(p.read_bytes()[:-4])
+        i = raw.index(b"sa-re-dae")
+        raw[i:i + 9] = b"sa-re-dax"
+        p.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(bytes(raw))))
+        with pytest.raises(DataError, match="unknown variant 'sa-re-dax'"):
             C.load(str(p))
 
     def test_rewrite_helper_round_trips(self, tmp_path):

@@ -109,6 +109,17 @@ class TestTrain:
         assert code == 2
         assert "epochz" in err
 
+    @pytest.mark.parametrize("line,named", [("variant=sa-redae", "sa-redae"),
+                                            ("widths=16", "2 encoder widths")])
+    def test_unbuildable_network_in_config_is_usage_error(self, workdir, tmp_path, capsys,
+                                                          line, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"epochs=1\n{line}\n")
+        code, _, err = run(capsys, "train", "--data", workdir["prep"],
+                           "--config", str(bad), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert err.startswith("error: config:") and named in err
+
     def test_empty_train_split_is_data_error(self, test_only, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", test_only,
                            "--out", str(tmp_path / "m.ckpt"))

@@ -116,9 +116,11 @@ class TestAugment:
 
     def test_flip_is_involution(self):
         s = self._sample()
-        back = D.flip_x(D.flip_x(s))
-        assert np.array_equal(back.image, s.image)
-        assert np.array_equal(back.mask, s.mask)
+        for flip_h, flip_v in ((True, False), (False, True), (True, True)):
+            img, mask = D._affine_sample(s.image, s.mask, 0.0, 1.0, flip_h, flip_v)
+            img, mask = D._affine_sample(img, mask, 0.0, 1.0, flip_h, flip_v)
+            assert img.tobytes() == s.image.tobytes()
+            assert mask.tobytes() == s.mask.tobytes()
 
     def test_deterministic_for_same_stream(self):
         s = self._sample()
@@ -135,6 +137,21 @@ class TestAugment:
         out = D.augment(s, spec, Rng(1))
         assert np.array_equal(out.image, s.image)
         assert np.array_equal(out.mask, s.mask)
+        # with no rotation or scaling, each flip moves whole pixels: the
+        # resampled output equals numpy's index flip byte for byte
+        rng = Rng(6)
+        odd = D.Sample(image=rng.uniform(0, 1, (7, 10, 3)),
+                       mask=np.asarray(rng.integers(0, 3, (7, 10)), dtype=np.uint8), id="b")
+        for sample in (s, odd):
+            for flip_h in (False, True):
+                for flip_v in (False, True):
+                    img, mask = D._affine_sample(sample.image, sample.mask, 0.0, 1.0,
+                                                 flip_h, flip_v)
+                    rows = slice(None, None, -1 if flip_v else 1)
+                    cols = slice(None, None, -1 if flip_h else 1)
+                    assert img.dtype == sample.image.dtype and mask.dtype == np.uint8
+                    assert img.tobytes() == sample.image[rows, cols].tobytes()
+                    assert mask.tobytes() == sample.mask[rows, cols].tobytes()
 
     def test_output_stays_valid(self):
         s = self._sample()

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import redae.layers as L
 from redae.errors import DataError, NumericError, ShapeError
-from redae.tensor import Rng, Tensor4, from_values, grad_check, mul, sum_all
+from redae.tensor import Rng, Tensor4, grad_check
+
+from _ops import mul, sum_all
 
 GRAD_TOL = 1e-4  # relative, central differences at eps=1e-5
 
@@ -23,14 +25,12 @@ def _conv_params(rng, c_in, c_out, k, grad=True):
                 validate=False))
 
 
-def _bn_params(c, rng=None, mode="train"):
+def _bn_params(c, rng=None):
     g = rng.normal((1, c, 1, 1), 0.3) + 1.0 if rng else np.ones((1, c, 1, 1))
     b = rng.normal((1, c, 1, 1), 0.3) if rng else np.zeros((1, c, 1, 1))
-    p = L.BatchNormParams(Tensor4(g, requires_grad=True, validate=False),
-                          Tensor4(b, requires_grad=True, validate=False),
-                          np.zeros(c), np.ones(c))
-    p.mode = mode
-    return p
+    return L.BatchNormParams(Tensor4(g, requires_grad=True, validate=False),
+                             Tensor4(b, requires_grad=True, validate=False),
+                             np.zeros(c), np.ones(c))
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +41,8 @@ class TestConvForward:
     def test_identity_kernel(self):
         rng = Rng(0)
         x = rng.tensor_normal((1, 1, 4, 4))
-        p = L.ConvParams(from_values((1, 1, 1, 1), [1.0]),
-                         from_values((1, 1, 1, 1), [0.0]))
+        p = L.ConvParams(Tensor4(np.ones((1, 1, 1, 1))),
+                         Tensor4(np.zeros((1, 1, 1, 1))))
         assert np.allclose(L.conv2d(x, p).data, x.data)
 
     def test_box_sum_same_padding(self):
@@ -50,7 +50,7 @@ class TestConvForward:
         # edges 6, corners 4 (zero padding).
         x = Tensor4(np.ones((1, 1, 4, 4)))
         p = L.ConvParams(Tensor4(np.ones((1, 1, 3, 3)), validate=False),
-                         from_values((1, 1, 1, 1), [0.0]))
+                         Tensor4(np.zeros((1, 1, 1, 1))))
         out = L.conv2d(x, p).data[0, 0]
         assert out[1, 1] == 9 and out[0, 1] == 6 and out[0, 0] == 4
 
@@ -62,7 +62,7 @@ class TestConvForward:
     def test_even_filter_rejected(self):
         with pytest.raises(ShapeError):
             L.ConvParams(Tensor4(np.ones((1, 1, 2, 2)), validate=False),
-                         from_values((1, 1, 1, 1), [0.0]))
+                         Tensor4(np.zeros((1, 1, 1, 1))))
 
     def test_matches_direct_convolution(self):
         # brute-force per-pixel reference
@@ -84,7 +84,7 @@ class TestBatchNorm:
         rng = Rng(4)
         x = rng.tensor_normal((4, 3, 8, 8), scale=3.0)
         p = _bn_params(3)
-        out = L.batch_norm(x, p).data
+        out = L.batch_norm(x, p, True).data
         assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-10)
         assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-4)
 
@@ -92,7 +92,7 @@ class TestBatchNorm:
         rng = Rng(5)
         x = rng.tensor_normal((4, 2, 4, 4))
         p = _bn_params(2)
-        L.batch_norm(x, p)
+        L.batch_norm(x, p, True)
         m = x.data.mean(axis=(0, 2, 3))
         v = x.data.var(axis=(0, 2, 3))
         assert np.allclose(p.running_mean, 0.1 * m)
@@ -101,10 +101,12 @@ class TestBatchNorm:
     def test_eval_uses_running_stats(self):
         rng = Rng(6)
         x = rng.tensor_normal((2, 2, 4, 4))
-        p = _bn_params(2, mode="eval")
+        p = _bn_params(2)
         p.running_mean[:] = [1.0, -1.0]
         p.running_var[:] = [4.0, 0.25]
-        out = L.batch_norm(x, p).data
+        out = L.batch_norm(x, p, False).data
+        assert p.running_mean.tolist() == [1.0, -1.0]  # inference writes nothing
+        assert p.running_var.tolist() == [4.0, 0.25]
         ref = (x.data - np.array([1.0, -1.0]).reshape(1, 2, 1, 1)) \
             / np.sqrt(np.array([4.0, 0.25]).reshape(1, 2, 1, 1) + 1e-5)
         assert np.allclose(out, ref)
@@ -112,13 +114,13 @@ class TestBatchNorm:
     def test_train_needs_batch(self):
         p = _bn_params(1)
         with pytest.raises(ShapeError):
-            L.batch_norm(Tensor4(np.ones((1, 1, 1, 1))), p)
+            L.batch_norm(Tensor4(np.ones((1, 1, 1, 1))), p, True)
 
 
 class TestPoolingForward:
     def test_max_pool_values_and_offsets(self):
-        x = from_values((1, 1, 2, 4), [1, 5, 2, 2,
-                                       3, 0, 2, 2])
+        x = Tensor4([[[[1, 5, 2, 2],
+                       [3, 0, 2, 2]]]])
         out, idx = L.max_pool(x)
         assert out.data.reshape(-1).tolist() == [5.0, 2.0]
         # 5 sits at window offset 1 (row 0, col 1); the tied 2s pick the
@@ -126,20 +128,20 @@ class TestPoolingForward:
         assert idx.offsets.reshape(-1).tolist() == [1, 0]
 
     def test_max_unpool_scatter(self):
-        x = from_values((1, 1, 2, 4), [1, 5, 2, 2,
-                                       3, 0, 2, 2])
+        x = Tensor4([[[[1, 5, 2, 2],
+                       [3, 0, 2, 2]]]])
         out, idx = L.max_pool(x)
         up = L.max_unpool(out, idx).data.reshape(-1).tolist()
         assert up == [0, 5, 2, 0,
                       0, 0, 0, 0]
 
     def test_avg_pool_values(self):
-        x = from_values((1, 1, 2, 2), [1, 2, 3, 6])
+        x = Tensor4([[[[1, 2], [3, 6]]]])
         out = L.avg_pool(x)
         assert out.data.reshape(-1).tolist() == [3.0]
 
     def test_avg_upsample_replicates(self):
-        y = from_values((1, 1, 1, 1), [7.0])
+        y = Tensor4(np.full((1, 1, 1, 1), 7.0))
         up = L.avg_upsample(y)
         assert np.all(up.data == 7.0)
 
@@ -295,14 +297,14 @@ def _layer_grad_cases():
 
     def bn_train_case(rng):
         p = _bn_params(3, rng)
-        return (lambda t: sum_all(mul(L.batch_norm(t, p), L.batch_norm(t, p))),
+        return (lambda t: sum_all(mul(L.batch_norm(t, p, True), L.batch_norm(t, p, True))),
                 rng.tensor_normal((2, 3, 8, 8)))
 
     def bn_eval_case(rng):
-        p = _bn_params(3, rng, mode="eval")
+        p = _bn_params(3, rng)
         p.running_mean[:] = rng.normal((3,))
         p.running_var[:] = 1.0 + rng.uniform(0.1, 2.0, (3,))
-        return (lambda t: sum_all(mul(L.batch_norm(t, p), L.batch_norm(t, p))),
+        return (lambda t: sum_all(mul(L.batch_norm(t, p, False), L.batch_norm(t, p, False))),
                 rng.tensor_normal((2, 3, 8, 8)))
 
     def max_pool_case(rng):

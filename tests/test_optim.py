@@ -5,11 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
+import redae.checkpoint as C
 import redae.network as N
 import redae.optim as O
+from redae import HybridPoolingSegmenter
 from redae.data import Sample, generate_phantoms
 from redae.errors import ConfigError, NumericError
-from redae.tensor import Rng, Tensor4, from_values
+from redae.tensor import Rng, Tensor4
 
 
 class TestTrainConfig:
@@ -36,7 +38,7 @@ class TestTrainConfig:
 
 class TestSgdmStep:
     def _param(self, value):
-        t = from_values((1, 1, 1, 1), [value], requires_grad=True)
+        t = Tensor4(np.full((1, 1, 1, 1), value), requires_grad=True)
         return [("w", t)]
 
     def test_two_step_hand_recurrence(self):
@@ -61,8 +63,8 @@ class TestSgdmStep:
         assert params[0][1].item() == pytest.approx(0.0)
 
     def test_non_finite_update_writes_nothing(self):
-        a = from_values((1, 1, 1, 2), [1.0, 2.0], requires_grad=True)
-        b = from_values((1, 1, 1, 1), [3.0], requires_grad=True)
+        a = Tensor4([[[[1.0, 2.0]]]], requires_grad=True)
+        b = Tensor4(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         params = [("a", a), ("b", b)]
         state = O.OptimizerState(params)
         state.velocity["a"][...] = 0.5
@@ -122,12 +124,6 @@ class TestTrainLoop:
             _, log = O.train(net, samples, None, tiny_cfg())
             outs.append([l for _, _, l, _ in log.steps])
         assert outs[0] == outs[1]
-
-    def test_ends_in_eval_mode(self):
-        samples = tiny_dataset(4)
-        net = N.build("max-only", (2, 3), 3, Rng(2))
-        O.train(net, samples, None, tiny_cfg(epochs=1))
-        assert all(b.bn.mode == "eval" for b in net.encoders + net.decoders)
 
     def test_sa_variant_sets_class_weights(self):
         samples = tiny_dataset(4)
@@ -292,3 +288,34 @@ class TestEvaluate:
         assert counts.tp.tolist() == manual.tp.tolist()
         assert counts.fp.tolist() == manual.fp.tolist()
         assert rep == M.compute_report(manual)
+
+
+class TestInferenceState:
+    """Inference reads batch norm's running statistics and never writes them."""
+
+    @pytest.mark.parametrize("kind", ["fresh", "trained", "loaded"])
+    def test_only_the_training_loss_writes_running_stats(self, kind, tmp_path):
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(8))
+        if kind != "fresh":
+            O.train(net, tiny_dataset(4), None, tiny_cfg(epochs=1))
+        if kind == "loaded":
+            C.save(net, str(tmp_path / "m.ckpt"))
+            net = C.load(str(tmp_path / "m.ckpt"))
+        samples = tiny_dataset(2, seed=9)
+        x, labels = O._batch_tensors(samples)
+        est = HybridPoolingSegmenter()
+        est.network_ = net
+        calls = {
+            "network.predict": lambda: N.predict(net, x),
+            "optim.segment": lambda: O.segment(net, samples[0].image[:30, :30]),
+            "optim.evaluate": lambda: O.evaluate(net, samples),
+            "HybridPoolingSegmenter.predict":
+                lambda: est.predict(np.stack([s.image for s in samples])),
+        }
+        before = [b.tobytes() for _, b in N.named_buffers(net)]
+        for name, call in calls.items():
+            call()
+            assert [b.tobytes() for _, b in N.named_buffers(net)] == before, name
+        N.loss(net, x, labels)
+        after = [b.tobytes() for _, b in N.named_buffers(net)]
+        assert all(a != b for a, b in zip(after, before))

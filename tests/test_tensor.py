@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import redae.network as N
 from redae.errors import AutodiffError, NumericError, ShapeError
 from redae.tensor import (BufferPool, Rng, Tape, Tensor4, _measure_unused_refs,
-                          active_tape, astype, backward, empty, from_values,
-                          full, grad_check, mul, sum_all, zeros)
+                          active_tape, astype, backward, empty, grad_check)
+
+from _ops import mul, sum_all
 
 
 class TestTensor4:
@@ -28,7 +29,7 @@ class TestTensor4:
         assert t.data.dtype == np.float64
         # non-float input (ints, nested lists) is stored as float64
         assert Tensor4(np.ones((1, 1, 2, 2), dtype=np.int64)).data.dtype == np.float64
-        assert from_values((1, 1, 1, 2), [1, 2]).data.dtype == np.float64
+        assert Tensor4([[[[1, 2]]]]).data.dtype == np.float64
 
     def test_float32_storage_kept(self):
         t = Tensor4(np.ones((1, 1, 2, 2), dtype=np.float32))
@@ -41,17 +42,19 @@ class TestTensor4:
         assert t.grad.dtype == np.float32 and np.all(t.grad == 2.0)
 
     def test_constructors(self):
-        assert zeros((1, 2, 3, 4)).shape == (1, 2, 3, 4)
-        assert full((1, 1, 1, 1), 2.5).item() == 2.5
-        t = from_values((1, 1, 2, 2), [1, 2, 3, 4])
+        assert Tensor4(np.zeros((1, 2, 3, 4))).shape == (1, 2, 3, 4)
+        assert Tensor4(np.full((1, 1, 1, 1), 2.5)).item() == 2.5
+        t = Tensor4([[[[1, 2], [3, 4]]]])
         assert t.data.reshape(-1).tolist() == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ShapeError):
+            Tensor4(np.zeros((1, 0, 2, 2)))
 
     def test_item_requires_scalar(self):
         with pytest.raises(ShapeError):
-            zeros((1, 1, 2, 2)).item()
+            Tensor4(np.zeros((1, 1, 2, 2))).item()
 
     def test_accumulate_grad_adds(self):
-        t = zeros((1, 1, 2, 2), requires_grad=True)
+        t = Tensor4(np.zeros((1, 1, 2, 2)), requires_grad=True)
         t.accumulate_grad(np.ones((1, 1, 2, 2)))
         t.accumulate_grad(np.ones((1, 1, 2, 2)))
         assert np.all(t.grad == 2.0)
@@ -59,7 +62,7 @@ class TestTensor4:
         assert t.grad is None
 
     def test_accumulate_grad_own_does_not_alias_shared(self):
-        t = zeros((1, 1, 2, 2), requires_grad=True)
+        t = Tensor4(np.zeros((1, 1, 2, 2)), requires_grad=True)
         g = np.ones((1, 1, 2, 2))
         t.accumulate_grad(g)  # not owned: must copy
         g[:] = 7.0
@@ -68,7 +71,7 @@ class TestTensor4:
 
 class TestTape:
     def test_no_tape_no_graph(self):
-        a = full((1, 1, 1, 1), 2.0, requires_grad=True)
+        a = Tensor4(np.full((1, 1, 1, 1), 2.0), requires_grad=True)
         out = mul(a, a)
         assert out.item() == 4.0
         with pytest.raises(AutodiffError):
@@ -81,14 +84,14 @@ class TestTape:
         assert active_tape() is None
 
     def test_backward_requires_scalar(self):
-        a = zeros((1, 1, 2, 2), requires_grad=True)
+        a = Tensor4(np.zeros((1, 1, 2, 2)), requires_grad=True)
         with Tape():
             out = mul(a, a)
             with pytest.raises(AutodiffError):
                 backward(out)
 
     def test_tape_consumed_after_backward(self):
-        a = full((1, 1, 1, 1), 3.0, requires_grad=True)
+        a = Tensor4(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape():
             out = mul(a, a)
             backward(out)
@@ -99,7 +102,7 @@ class TestTape:
         # a forward in thread B while thread A holds an open tape must not
         # land on A's tape
         import threading
-        a = full((1, 1, 1, 1), 2.0, requires_grad=True)
+        a = Tensor4(np.full((1, 1, 1, 1), 2.0), requires_grad=True)
         opened, done = threading.Event(), threading.Event()
         seen = {}
 
@@ -125,7 +128,7 @@ class TestTape:
         assert seen == {"a_ops": 0, "b_tape": None, "b_tracked": False}
 
     def test_astype_op_converts_and_routes_grad_back(self):
-        a = full((1, 1, 1, 1), 3.0, requires_grad=True)
+        a = Tensor4(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         assert astype(a, np.float64) is a
         with Tape():
             b = astype(a, np.float32)
@@ -138,11 +141,11 @@ class TestTape:
         with pytest.raises(AutodiffError, match="float64"):
             grad_check(sum_all, x32)
         with pytest.raises(AutodiffError, match="float64"):
-            grad_check(lambda t: sum_all(astype(t, np.float32)), zeros((1, 1, 2, 2)))
+            grad_check(lambda t: sum_all(astype(t, np.float32)), Tensor4(np.zeros((1, 1, 2, 2))))
 
     def test_grad_flows_through_shared_node(self):
         # loss = (a*a) * (a*a) => d/da = 4a^3
-        a = full((1, 1, 1, 1), 3.0, requires_grad=True)
+        a = Tensor4(np.full((1, 1, 1, 1), 3.0), requires_grad=True)
         with Tape():
             sq = mul(a, a)
             backward(mul(sq, sq))
@@ -198,7 +201,7 @@ class TestBufferPool:
 
         captured = weakref.ref(pool.take(self.SHAPE, np.float32))
         tape = Tape(pool)
-        tape.record(zeros((1, 1, 1, 1)), closure_over(captured()))
+        tape.record(Tensor4(np.zeros((1, 1, 1, 1))), closure_over(captured()))
         live = [held, tensor.data, view.base, captured()]
         assert len({id(a) for a in live}) == 4
         fresh = [pool.take(self.SHAPE, np.float32) for _ in range(2)]
@@ -253,11 +256,11 @@ class TestElementwiseOps:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            mul(zeros((1, 1, 2, 2)), zeros((1, 1, 2, 3)))
+            mul(Tensor4(np.zeros((1, 1, 2, 2))), Tensor4(np.zeros((1, 1, 2, 3))))
 
     def test_values(self):
-        a = from_values((1, 1, 1, 2), [3.0, 4.0])
-        b = from_values((1, 1, 1, 2), [1.0, 2.0])
+        a = Tensor4([[[[3.0, 4.0]]]])
+        b = Tensor4([[[[1.0, 2.0]]]])
         assert mul(a, b).data.reshape(-1).tolist() == [3.0, 8.0]
         assert sum_all(a).item() == 7.0
 
@@ -282,7 +285,7 @@ class TestElementwiseOps:
         with Tape():
             backward(sum_all(mul(x1, x1)))
         with Tape():
-            backward(mul(sum_all(mul(x2, x2)), full((1, 1, 1, 1), alpha)))
+            backward(mul(sum_all(mul(x2, x2)), Tensor4(np.full((1, 1, 1, 1), alpha))))
         assert np.allclose(x2.grad, alpha * x1.grad, rtol=1e-12, atol=1e-12)
 
 
