@@ -17,7 +17,9 @@ network trains and infers in, so a save -> load -> save round trip is
 byte-stable. `save` renames a finished file onto the target, so a failed
 save leaves an earlier checkpoint at that path untouched. `load` builds a
 float32 network and requires every tensor of the saved topology exactly
-once, with no trailing bytes; anything else is a `DataError`.
+once, with no trailing bytes, every value finite, every running variance
+nonnegative and every class weight positive; anything else is a
+`DataError`.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ def load(path: str) -> Network:
             raise DataError(f"{path}: tensor {name!r} shape {shape} does not match topology")
         seen.add(name)
         arr = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").astype(np.float32)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: tensor {name!r} holds non-finite values")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise DataError(f"{path}: tensor {name!r} holds a negative variance")
         if name in params:
             params[name].data = arr.reshape(shape)
         else:

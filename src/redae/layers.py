@@ -13,8 +13,8 @@ come from `tensor.empty`, which a training run serves from its
 `BufferPool`; a backward closure owns the grad it is handed and writes into
 it where it can. Every convolution zero-pads to keep the spatial size
 ("same"). Pooling uses the paper's non-overlapping 2x2 windows with stride
-2; max-pooling memorizes per-window argmax offsets so the decoder can place
-values back exactly during unpooling.
+2; max-pooling memorizes the flat index, into its input, of each window's
+max, so the decoder can place values back exactly during unpooling.
 """
 
 from __future__ import annotations
@@ -51,15 +51,21 @@ class ConvParams:
 
 @dataclass
 class PoolIndices:
-    """Per-window argmax offsets (flat 0..3, row-major), shaped like the pooled map."""
+    """Flat index, into the pooled input, of each 2x2 window's max; shaped like the pooled map."""
 
-    offsets: np.ndarray  # int64, shape (n, c, oh, ow)
+    offsets: np.ndarray  # intp, shape (n, c, oh, ow)
 
     def __post_init__(self):
         if self.offsets.ndim != 4:
             raise ShapeError(f"pool indices must be rank 4, got {self.offsets.shape}")
-        if self.offsets.size and int(self.offsets.max()) >= 4:
-            raise ShapeError("pool index offset out of window range")
+        # an index lies in its window iff, less the window's first element,
+        # it is 0, 1, w or w + 1; w is even, so clearing bit 0 leaves 0 or w
+        w = 2 * self.offsets.shape[3]
+        rel = _window_starts(self.offsets.shape)
+        np.subtract(self.offsets, rel, out=rel)
+        rel &= -2
+        if np.count_nonzero(rel) != np.count_nonzero(rel == w):
+            raise ShapeError("pool index outside its window")
 
 
 @dataclass
@@ -102,7 +108,7 @@ class ClassWeights:
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(self.w)) or np.any(self.w <= 0):
-            raise NumericError("class weights must be finite and strictly positive")
+            raise DataError("class weights must be finite and strictly positive")
 
     @staticmethod
     def unit(classes: int) -> "ClassWeights":
@@ -262,22 +268,21 @@ def _check_divisible(x: Tensor4, name: str) -> None:
             "pad the input first (see data.pad_to_multiple)")
 
 
-def _windows_2x2(data: np.ndarray) -> np.ndarray:
-    """Stack the four 2x2 window corners: (4, n, c, h/2, w/2), row-major order."""
-    n, c, h, w = data.shape
-    a = data.reshape(n, c, h // 2, 2, w // 2, 2)
-    return np.stack([a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1],
-                     a[:, :, :, 1, :, 0], a[:, :, :, 1, :, 1]])
+def _window_starts(shape) -> np.ndarray:
+    """Flat index of each 2x2 window's top-left element in the (n, c, 2oh, 2ow) input."""
+    n, c, oh, ow = shape
+    out = empty(shape, np.intp)
+    np.add(np.arange(0, n * c * oh * 4 * ow, 4 * ow)[:, None], np.arange(0, 2 * ow, 2),
+           out=out.reshape(n * c * oh, ow))
+    return out
 
 
 def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Place values at their window offsets, zeros elsewhere."""
+    """Place values at their flat indices in a zero (n, c, 2oh, 2ow) map."""
     n, c, oh, ow = values.shape
     out = empty((n, c, oh * 2, ow * 2), values.dtype)
-    view = out.reshape(n, c, oh, 2, ow, 2)
-    for off in range(4):
-        # a dense select per corner, not a boolean-mask scatter
-        view[:, :, :, off // 2, :, off % 2] = np.where(offsets == off, values, 0)
+    out.fill(0)
+    out.reshape(-1)[offsets] = values
     return out
 
 
@@ -293,28 +298,42 @@ def _replicate_2x2(values: np.ndarray) -> np.ndarray:
 
 
 def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
-    """Window max with memorized argmax offsets; ties pick the lowest offset."""
+    """Window max with memorized flat indices; ties pick the first in row-major order.
+
+    Two pairwise stages: left vs right column, then top vs bottom row of
+    the column maxima. A strict `>` keeps the left and the top on ties.
+    """
     _check_divisible(x, "max_pool")
-    corners = _windows_2x2(x.data)
-    offsets = corners.argmax(axis=0)  # intp: int64 on 64-bit platforms
+    w = x.shape[3]
+    left, right = x.data[:, :, :, 0::2], x.data[:, :, :, 1::2]
+    cols = np.maximum(left, right)
+    right_wins = np.greater(right, left)
+    top, bottom = cols[:, :, 0::2], cols[:, :, 1::2]
+    out = np.maximum(top, bottom, out=empty(top.shape, x.data.dtype))
+    bottom_wins = np.greater(bottom, top)
+    # the winning row's column bit, by bit ops: a select on random
+    # bools (np.where, where=) mispredicts branches and runs ~10x slower
+    top_right, bottom_right = right_wins[:, :, 0::2], right_wins[:, :, 1::2]
+    offsets = _window_starts(out.shape)
+    offsets += top_right ^ (bottom_wins & (top_right ^ bottom_right))
+    offsets += bottom_wins * w
     idx = PoolIndices(offsets)
 
     def bwd(g):
         if x.requires_grad:
             x.accumulate_grad(_scatter_2x2(g, offsets), own=True)
 
-    out = corners.max(axis=0, out=empty(offsets.shape, x.data.dtype))
     return make_op_output(out, (x,), bwd), idx
 
 
 def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
-    """Sparse up-sampling: each window gets y's value at the memorized offset."""
+    """Sparse up-sampling: each window gets y's value at the memorized index."""
     if y.shape != idx.offsets.shape:
         raise ShapeError(f"max_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
 
     def bwd(g):
         if y.requires_grad:
-            y.accumulate_grad(np.choose(idx.offsets, _windows_2x2(g)), own=True)
+            y.accumulate_grad(np.take(g, idx.offsets), own=True)
 
     return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), bwd)
 
@@ -345,7 +364,12 @@ def avg_upsample(y: Tensor4) -> Tensor4:
         if y.requires_grad:
             n, c, h, w = g.shape
             a = g.reshape(n, c, h // 2, 2, w // 2, 2)
-            y.accumulate_grad(a.sum(axis=(3, 5)), own=True)
+            if w == 2:  # numpy sums a width-2 grad in another order
+                total = a.sum(axis=(3, 5))
+            else:  # (a00 + a01) + (a10 + a11), numpy's order at other widths
+                total = np.add(a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1])
+                total += np.add(a[:, :, :, 1, :, 0], a[:, :, :, 1, :, 1], out=a[:, :, :, 1, :, 0])
+            y.accumulate_grad(total, own=True)
 
     return make_op_output(_replicate_2x2(y.data), (y,), bwd)
 

@@ -224,10 +224,19 @@ def predict(net: Network, x: Tensor4) -> np.ndarray:
     """Per-pixel argmax class mask; ties pick the lowest class index.
 
     argmax over the softmax equals argmax over the logits (softmax is
-    strictly monotone per pixel), so the softmax is skipped.
+    strictly monotone per pixel), so the softmax is skipped. The classes are
+    swept pairwise, a pixel moving only to a strictly greater logit, because
+    `argmax(axis=1)` moves the class axis last and copies.
     """
-    logits = forward(net, x)
-    return logits.data.argmax(axis=1).astype(np.uint8)
+    logits = forward(net, x).data
+    best = logits[:, 0]
+    mask = np.zeros(best.shape, np.uint8)
+    for k in range(1, logits.shape[1]):
+        wins = np.greater(logits[:, k], best)
+        mask *= ~wins
+        mask += wins * np.uint8(k)
+        best = np.maximum(best, logits[:, k])
+    return mask
 
 
 def loss(net: Network, x: Tensor4, labels: np.ndarray) -> Tensor4:

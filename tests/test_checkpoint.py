@@ -208,6 +208,49 @@ class TestIntegrity:
         with pytest.raises(DataError, match="unknown variant 'sa-re-dax'"):
             C.load(str(p))
 
+    @classmethod
+    def _set_tensor(cls, p, name, edit):
+        """Rewrite tensor `name`'s float32 payload through `edit(array)`."""
+        raw = name.encode()
+        head = struct.pack("<H", len(raw)) + raw
+
+        def patch(records):
+            out = []
+            for rec in records:
+                if rec.startswith(head):
+                    at = len(head) + 16
+                    arr = np.frombuffer(rec[at:], "<f4").copy()
+                    edit(arr)
+                    rec = rec[:at] + arr.tobytes()
+                out.append(rec)
+            return out, b""
+        cls._rewrite_tensors(p, patch)
+
+    @pytest.mark.parametrize("name", ["enc0.conv.filters", "dec1.bn.running_mean"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        p = self._saved(tmp_path)
+        self._set_tensor(p, name, lambda a: a.__setitem__(1, value))
+        with pytest.raises(DataError, match=f"'{name}' holds non-finite"):
+            C.load(str(p))
+
+    def test_negative_running_variance_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._set_tensor(p, "enc1.bn.running_var", lambda a: a.__setitem__(0, -0.5))
+        with pytest.raises(DataError, match="'enc1.bn.running_var' holds a negative"):
+            C.load(str(p))
+
+    def test_negative_class_weight_is_data_error(self, tmp_path):
+        import zlib
+        p = self._saved(tmp_path)
+        raw = bytearray(p.read_bytes()[:-4])
+        weights = np.asarray(C.load(str(p)).class_weights.w, "<f8").tobytes()
+        i = raw.index(weights)
+        raw[i:i + 8] = struct.pack("<d", -1.0)
+        p.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(bytes(raw))))
+        with pytest.raises(DataError, match="class weights"):
+            C.load(str(p))
+
     def test_rewrite_helper_round_trips(self, tmp_path):
         p = self._saved(tmp_path)
         before = p.read_bytes()

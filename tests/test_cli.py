@@ -182,6 +182,23 @@ class TestPredict:
         assert code == 3
         assert "CRC" in err
 
+    @pytest.mark.parametrize("damage", ["running_var", "class_weight"])
+    def test_unrunnable_checkpoint_is_data_error(self, workdir, tmp_path, capsys, damage):
+        # CRC-valid, but a negative variance would give a mask computed from NaN
+        img = os.path.join(workdir["raw"], "images")
+        first = os.path.join(img, sorted(os.listdir(img))[0])
+        net = checkpoint.load(workdir["ckpt"])
+        if damage == "running_var":
+            net.encoders[0].bn.running_var[0] = -1.0
+        else:
+            net.class_weights.w[2] = -1.0
+        bad = str(tmp_path / "bad.ckpt")
+        checkpoint.save(net, bad)
+        out = str(tmp_path / "p")
+        code, _, err = run(capsys, "predict", "--ckpt", bad, "--image", first, "--out", out)
+        assert code == 3 and "error: data:" in err
+        assert not os.path.exists(out + "_mask.pgm")
+
     def test_odd_size_matches_segment_and_estimator(self, tmp_path, capsys):
         # 30x45 pads to 32x48 and crops back; the CLI, the estimator and
         # optim.segment must produce the same mask byte for byte

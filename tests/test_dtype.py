@@ -83,7 +83,8 @@ class _AllocationSpy:
 
     ALLOCATORS = ("zeros", "empty", "ones", "full", "zeros_like", "empty_like",
                   "ones_like", "full_like", "pad", "stack", "concatenate", "repeat",
-                  "where", "choose", "ascontiguousarray", "matmul")
+                  "where", "choose", "take", "greater", "maximum", "arange",
+                  "ascontiguousarray", "matmul")
 
     def __init__(self):
         self.dtypes: list[tuple[str, np.dtype]] = []
@@ -120,7 +121,7 @@ def test_float32_layers_allocate_no_float64(monkeypatch):
         with Tape(pool):
             backward(N.loss(net, x, labels))
         names = {name for name, _ in spy.dtypes}
-        assert {"tensor.empty", "zeros", "stack", "where", "matmul"} <= names
+        assert {"tensor.empty", "zeros", "take", "greater", "matmul"} <= names
         assert [(n, d) for n, d in spy.dtypes if d == np.float64] == []
 
 

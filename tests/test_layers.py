@@ -1,5 +1,6 @@
 """Layer forward values, gradient checks, and pooling algebra."""
 
+import itertools
 import math
 import time
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redae.layers as L
-from redae.errors import DataError, NumericError, ShapeError
+from redae.errors import DataError, ShapeError
 from redae.tensor import Rng, Tensor4, grad_check
 
 from _ops import mul, sum_all
@@ -123,9 +124,10 @@ class TestPoolingForward:
                        [3, 0, 2, 2]]]])
         out, idx = L.max_pool(x)
         assert out.data.reshape(-1).tolist() == [5.0, 2.0]
-        # 5 sits at window offset 1 (row 0, col 1); the tied 2s pick the
-        # lowest row-major offset, 0
-        assert idx.offsets.reshape(-1).tolist() == [1, 0]
+        # 5 sits at flat index 1 (row 0, col 1); the tied 2s pick their
+        # window's first in row-major order, row 0, col 2: flat index 2
+        assert idx.offsets.reshape(-1).tolist() == [1, 2]
+        assert idx.offsets.dtype == np.intp
 
     def test_max_unpool_scatter(self):
         x = Tensor4([[[[1, 5, 2, 2],
@@ -153,14 +155,67 @@ class TestPoolingForward:
     def test_scatter_matches_per_window_loop(self, dtype):
         rng = Rng(12)
         values = rng.normal((2, 3, 4, 5)).astype(dtype)
-        offsets = np.asarray(rng.integers(0, 4, (2, 3, 4, 5)), dtype=np.int64)
+        window = np.asarray(rng.integers(0, 4, (2, 3, 4, 5)))  # row-major 0..3
         ref = np.zeros((2, 3, 8, 10), dtype)
+        offsets = np.empty(values.shape, np.intp)
         for idx in np.ndindex(values.shape):
             n, c, i, j = idx
-            off = offsets[idx]
-            ref[n, c, 2 * i + off // 2, 2 * j + off % 2] = values[idx]
-        out = L._scatter_2x2(values, offsets)
+            at = (n, c, 2 * i + window[idx] // 2, 2 * j + window[idx] % 2)
+            ref[at] = values[idx]
+            offsets[idx] = np.ravel_multi_index(at, ref.shape)
+        out = L._scatter_2x2(values, L.PoolIndices(offsets).offsets)
         assert out.dtype == dtype and np.array_equal(out, ref)
+
+    def test_indices_outside_their_window_rejected(self):
+        x = Tensor4(np.arange(2 * 3 * 4 * 6, dtype=np.float64).reshape(2, 3, 4, 6))
+        _, idx = L.max_pool(x)  # every window's max is its bottom-right corner
+        for shift in (0, -1, -6, -7):  # to each corner of the same window
+            moved = idx.offsets.copy()
+            moved[1, 2, 1, 1] += shift
+            L.PoolIndices(moved)
+        for shift in (-8, -5, -2, 1, 2, 6, 12, 4 * 6, -(2**40)):
+            bad = idx.offsets.copy()
+            bad[1, 2, 1, 1] += shift  # into a neighbour window, or off the map
+            with pytest.raises(ShapeError, match="window"):
+                L.PoolIndices(bad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("values", [(0.0, 1.0), (-0.0, 0.0)])
+    def test_every_two_valued_window_matches_per_window_loop(self, dtype, values):
+        # the value is the window's last element equal to its max (the bits
+        # tell -0.0 from +0.0), the index its first in row-major order
+        windows = list(itertools.product(values, repeat=4))
+        x = np.array(windows, dtype).reshape(len(windows), 1, 2, 2)
+        out, idx = L.max_pool(Tensor4(x, validate=False))
+        for k, win in enumerate(windows):
+            top = max(win)
+            first = next(i for i, v in enumerate(win) if v == top)
+            last = max(i for i, v in enumerate(win) if v == top)
+            assert out.data[k, 0, 0, 0].tobytes() == np.array(win[last], dtype).tobytes(), win
+            assert idx.offsets[k, 0, 0, 0] == 4 * k + first, win
+
+    def test_nan_window_rule(self):
+        # NaN wins the value, but a comparison with NaN is false, so the left
+        # column and the top row keep the index wherever a NaN takes part
+        windows = [(np.nan, 1, 2, 3), (1, np.nan, 2, 3), (1, 2, np.nan, 3),
+                   (1, 2, 3, np.nan), (np.nan,) * 4]
+        x = np.array(windows, np.float32).reshape(len(windows), 1, 2, 2)
+        out, idx = L.max_pool(Tensor4(x, validate=False))
+        assert np.isnan(out.data).all()
+        assert (idx.offsets.reshape(-1) - 4 * np.arange(len(windows))).tolist() == [0, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("width", [2, 4, 6, 64])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avg_upsample_grad_bit_equals_numpy_window_sum(self, width, dtype):
+        from redae.tensor import Tape, backward
+        rng = Rng([17, width])
+        y = Tensor4(np.zeros((2, 3, 5, width // 2), dtype), requires_grad=True)
+        g = rng.normal((2, 3, 10, width)).astype(dtype)
+        with Tape():
+            up = L.avg_upsample(y)
+            backward(sum_all(mul(up, Tensor4(g))))
+        ref = g.reshape(2, 3, 5, 2, width // 2, 2).sum(axis=(3, 5))
+        assert y.grad.dtype == dtype and y.grad.tobytes() == ref.tobytes()
 
 
 class TestPoolingAlgebra:
@@ -259,7 +314,7 @@ class TestCrossEntropy:
             L.check_labels(labels, 3)
 
     def test_nonpositive_weights_rejected(self):
-        with pytest.raises(NumericError):
+        with pytest.raises(DataError):
             L.ClassWeights([1.0, 0.0, 2.0])
 
 
@@ -384,9 +439,9 @@ def test_max_pool_grad_routes_to_argmax_only(seed):
         backward(sum_all(y))
     win = x.grad.reshape(1, 2, 2, 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
     win = win.reshape(1, 2, 2, 2, 4)
-    # each window's gradient is a one-hot at the memorized offset
+    # each window's gradient is a one-hot at the memorized flat index
     assert np.all(win.sum(axis=-1) == 1.0)
-    np.testing.assert_array_equal(win.argmax(axis=-1), idx.offsets)
+    assert np.all(x.grad.reshape(-1)[idx.offsets] == 1.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -86,6 +86,20 @@ class TestForward:
         probs = L.softmax_pixels(logits)
         assert np.array_equal(N.predict(net, x), probs.data.argmax(axis=1))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    def test_predict_matches_argmax_with_ties(self, monkeypatch, classes, dtype):
+        # few distinct logit values, signed zeros among them, so most pixels
+        # tie between classes; argmax keeps the lowest tied class
+        rng = Rng([21, classes])
+        values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0], dtype)
+        logits = values[np.asarray(rng.integers(0, 5, (2, classes, 6, 7)))]
+        logits[0, :, 0, 0] = 0.5  # every class tied
+        monkeypatch.setattr(N, "forward", lambda net, x: Tensor4(logits, validate=False))
+        mask = N.predict(small_net(), None)
+        assert mask.dtype == np.uint8 and mask[0, 0, 0] == 0
+        assert np.array_equal(mask, logits.argmax(axis=1))
+
     def test_eval_mode_is_deterministic_per_input(self):
         net = small_net()
         x = Rng(5).tensor_normal((1, 1, 8, 8))
