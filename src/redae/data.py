@@ -83,6 +83,8 @@ def _read_netpbm(path: str, magic: bytes) -> np.ndarray:
         width, height, maxval = (int(t) for t in fields)
     except ValueError as e:
         raise DataError(f"{path}: malformed header: {e}") from None
+    if width < 1 or height < 1:
+        raise DataError(f"{path}: width and height must be >= 1, got {width}x{height}")
     if maxval != 255:
         raise DataError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval

@@ -27,10 +27,14 @@ def _as_image_array(X) -> np.ndarray:
     return X
 
 
-def _as_mask_array(y, n: int, hw: tuple[int, int]) -> np.ndarray:
+def _as_mask_array(y, n: int, hw: tuple[int, int], classes: int) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (n,) + hw:
         raise DataError(f"y must have shape {(n,) + hw}, got {y.shape}")
+    bad = ~((y >= 0) & (y < classes) & (y == np.round(y)))  # NaN fails every test
+    if bad.any():
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DataError(f"y holds label {y[where]} at {where}; labels are integers in [0, {classes})")
     return y.astype(np.uint8)
 
 
@@ -68,7 +72,7 @@ class HybridPoolingSegmenter:
 
     def fit(self, X, y) -> "HybridPoolingSegmenter":
         X = _as_image_array(X)
-        y = _as_mask_array(y, X.shape[0], X.shape[1:3])
+        y = _as_mask_array(y, X.shape[0], X.shape[1:3], self.classes)
         samples = [Sample(image=X[i], mask=y[i], id=f"fit{i}") for i in range(X.shape[0])]
         net = build(self.variant, self.widths, self.classes, Rng(self.seed),
                     in_channels=X.shape[3])
@@ -91,7 +95,7 @@ class HybridPoolingSegmenter:
         """Mean per-class Dice over all classes, in [0, 1]."""
         self._check_fitted()
         X = _as_image_array(X)
-        y = _as_mask_array(y, X.shape[0], X.shape[1:3])
+        y = _as_mask_array(y, X.shape[0], X.shape[1:3], self.classes)
         samples = [Sample(image=X[i], mask=y[i], id=f"score{i}") for i in range(X.shape[0])]
         _, counts = evaluate(self.network_, samples)
         return float(np.mean([float(dice_frac(counts, k)) for k in range(counts.classes)]))

@@ -12,9 +12,13 @@ live for a step (padded inputs, im2col columns, outputs, the col2im buffer)
 come from `tensor.empty`, which a training run serves from its
 `BufferPool`; a backward closure owns the grad it is handed and writes into
 it where it can. Every convolution zero-pads to keep the spatial size
-("same"). Pooling uses the paper's non-overlapping 2x2 windows with stride
-2; max-pooling memorizes the flat index, into its input, of each window's
-max, so the decoder can place values back exactly during unpooling.
+("same"). An unrecorded 3x3 conv builds its im2col columns in row bands of
+at most `_BAND_BYTES`, each band's GEMM writing its rows of the output, so
+inference never holds all the columns; a recorded one builds them whole, as
+its backward reads them. Pooling uses the paper's non-overlapping 2x2
+windows with stride 2; max-pooling memorizes the flat index, into its
+input, of each window's max, so the decoder can place values back exactly
+during unpooling.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .tensor import Tensor4, empty, make_op_output
+from .tensor import Tensor4, empty, make_op_output, tracks_grad
 
 # ---------------------------------------------------------------------------
 # Parameter containers
@@ -118,6 +122,8 @@ class ClassWeights:
 # ---------------------------------------------------------------------------
 # Convolution
 
+_BAND_BYTES = 4 << 20  # fastest at 304x304, and no 64x64 batch-1 conv splits
+
 
 def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:
     """Fast path for 1x1 filters: a per-pixel channel mix, no im2col."""
@@ -159,16 +165,23 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     xp[:, :, ph:ph + h, :pw] = 0
     xp[:, :, ph:ph + h, pw + w:] = 0
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    # im2col in (n, c_in * kp * kq, h * w) layout: one shifted-slice copy
-    # per filter offset, never a strided transpose
-    cols = empty((n, c_in, kp * kq, h, w), dtype)
-    for i in range(kp):
-        for j in range(kq):
-            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
-    cols = cols.reshape(n, c_in * kp * kq, h * w)
-    wmat = p.filters.data.reshape(c_out, c_in * kp * kq)
+    # im2col in (n, c_in * kp * kq, rows * w) layout: one shifted-slice copy
+    # per filter offset, never a strided transpose; one band when recorded
+    k = c_in * kp * kq
+    bands = 1 if tracks_grad((x, p.filters, p.bias)) else \
+        -(-n * k * h * w * dtype.itemsize // _BAND_BYTES)
+    rows = -(-h // bands)
+    buf = empty((n, c_in, kp * kq, rows, w), dtype)
+    wmat = p.filters.data.reshape(c_out, k)
     out = empty((n, c_out, h, w), dtype)
-    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
+    for r0 in range(0, h, rows):
+        r = min(rows, h - r0)
+        cols = buf.reshape(-1)[:n * k * r * w].reshape(n, c_in, kp * kq, r, w)
+        for i in range(kp):
+            for j in range(kq):
+                cols[:, :, i * kq + j] = xp[:, :, r0 + i:r0 + i + r, j:j + w]
+        cols = cols.reshape(n, k, r * w)
+        np.matmul(wmat, cols, out=out[:, :, r0:r0 + r].reshape(n, c_out, r * w))
     out += p.bias.data
 
     def bwd(g):

@@ -213,8 +213,7 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
         elif net.variant == "max-only":
             t = max_unpool(t, indices[-(i + 1)])
         else:
-            up = max_unpool(t, indices[-(i + 1)])
-            t = conv2d(concat_channels(up, avg_upsample(t)), dec.fuse)
+            t = conv2d(concat_channels(max_unpool(t, indices[-(i + 1)]), avg_upsample(t)), dec.fuse)
         t = relu(batch_norm(conv2d(t, dec.conv), dec.bn, train))
 
     return conv2d(t, net.head)

@@ -225,6 +225,11 @@ def empty(shape, dtype) -> np.ndarray:
     return tape.pool.take(shape, dtype)
 
 
+def tracks_grad(inputs: Sequence[Tensor4]) -> bool:
+    """Whether an op on `inputs` is recorded: a tape is open and some input requires grad."""
+    return active_tape() is not None and any(t.requires_grad for t in inputs)
+
+
 def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
                    backward_fn: Callable[[np.ndarray], None]) -> Tensor4:
     """Create an op result, recording `backward_fn` when gradients are tracked.
@@ -236,12 +241,10 @@ def make_op_output(data: np.ndarray, inputs: Sequence[Tensor4],
     It is recorded only when a tape is open and some input requires
     gradients; otherwise it is dropped along with whatever it captured.
     """
-    tape = active_tape()
-    track = tape is not None and any(t.requires_grad for t in inputs)
+    track = tracks_grad(inputs)
     out = Tensor4(data, requires_grad=track, validate=False)
     if track:
-        assert tape is not None
-        tape.record(out, backward_fn)
+        active_tape().record(out, backward_fn)
     return out
 
 

@@ -182,6 +182,16 @@ class TestPredict:
         assert code == 3
         assert "CRC" in err
 
+    @pytest.mark.parametrize("dims", [b"-1 -1", b"0 0"])
+    def test_empty_image_is_data_error(self, workdir, tmp_path, capsys, dims):
+        bad = tmp_path / "empty.pgm"
+        bad.write_bytes(b"P5\n" + dims + b"\n255\n\x00")
+        out = str(tmp_path / "p")
+        code, _, err = run(capsys, "predict", "--ckpt", workdir["ckpt"],
+                           "--image", str(bad), "--out", out)
+        assert code == 3 and "width and height" in err
+        assert not os.path.exists(out + "_mask.pgm")
+
     @pytest.mark.parametrize("damage", ["running_var", "class_weight"])
     def test_unrunnable_checkpoint_is_data_error(self, workdir, tmp_path, capsys, damage):
         # CRC-valid, but a negative variance would give a mask computed from NaN

@@ -40,6 +40,14 @@ class TestNetpbm:
         with pytest.raises(DataError):
             D.read_pgm(str(p))
 
+    @pytest.mark.parametrize("dims", [b"-1 -1", b"0 0", b"0 2", b"2 0"])
+    def test_empty_or_negative_dimensions_rejected(self, tmp_path, dims):
+        # one pixel byte: "-1 -1" used to fail in reshape, "0 0" to read as an empty image
+        p = tmp_path / "empty.pgm"
+        p.write_bytes(b"P5\n" + dims + b"\n255\n\x00")
+        with pytest.raises(DataError, match="width and height"):
+            D.read_pgm(str(p))
+
     def test_unsupported_maxval(self, tmp_path):
         p = tmp_path / "deep.pgm"
         p.write_bytes(b"P5\n1 1\n65535\n\x01\x02")

@@ -88,6 +88,15 @@ class TestFitPredict:
         with pytest.raises(ConfigError):
             small_estimator(variant="unet").fit(X, y)
 
+    @pytest.mark.parametrize("label", [256, 3, -1, 1.7, np.nan, np.inf])
+    def test_bad_labels_rejected_not_wrapped(self, label):
+        # astype(uint8) used to train 256 as 0, 1.7 as 1 and NaN as 0
+        X, y = small_xy(2)
+        y = y.astype(np.float64)
+        y[1, 3, 5] = label
+        with pytest.raises(DataError, match=r"at \(1, 3, 5\)"):
+            small_estimator().fit(X, y)
+
     def test_bad_shapes_rejected(self):
         X, y = small_xy(2)
         with pytest.raises(DataError):

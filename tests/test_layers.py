@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import redae.layers as L
 from redae.errors import DataError, ShapeError
-from redae.tensor import Rng, Tensor4, grad_check
+from redae.tensor import Rng, Tape, Tensor4, backward, grad_check
 
 from _ops import mul, sum_all
 
@@ -78,6 +79,50 @@ class TestConvForward:
                     ref = (xp[0, :, i:i + 3, j:j + 3] * p.filters.data[co]).sum() \
                         + p.bias.data[0, co, 0, 0]
                     assert out[0, co, i, j] == pytest.approx(ref, rel=1e-12)
+
+
+class TestConvBands:
+    """An untracked 3x3 conv builds its im2col columns in row bands of at most
+    `_BAND_BYTES`; a recorded one builds all of them, as backward needs."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 16, 304, 304), (2, 32, 152, 150)])
+    def test_banded_equals_one_band_bytewise(self, shape, dtype):
+        n, c_in, h, w = shape
+        col_bytes = n * c_in * 9 * h * w * np.dtype(dtype).itemsize
+        bands = -(-col_bytes // L._BAND_BYTES)
+        assert bands >= 3 and h % -(-h // bands) != 0  # the last band is shorter
+        rng = Rng(12)
+        x = Tensor4(rng.normal(shape).astype(dtype), validate=False)
+        p = L.ConvParams(Tensor4(rng.normal((16, c_in, 3, 3), 0.1).astype(dtype), validate=False),
+                         Tensor4(rng.normal((1, 16, 1, 1), 0.1).astype(dtype), validate=False))
+        tracemalloc.start()
+        try:
+            banded = L.conv2d(x, p).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with Tape():
+            whole = L.conv2d(Tensor4(x.data, requires_grad=True, validate=False), p)
+        assert whole.requires_grad
+        assert banded.tobytes() == whole.data.tobytes()
+        assert peak < col_bytes
+
+    def test_recorded_conv_keeps_every_column(self):
+        # a shape that bands when untracked; the filter grad of sum(out) at
+        # offset (i, j) is the sum of the padded input's shifted window
+        rng = Rng(13)
+        x = Tensor4(rng.uniform(0.0, 1.0, (1, 16, 304, 304)).astype(np.float32),
+                    requires_grad=True, validate=False)
+        p = L.ConvParams(Tensor4(rng.normal((2, 16, 3, 3), 0.1).astype(np.float32),
+                                 requires_grad=True, validate=False),
+                         Tensor4(np.zeros((1, 2, 1, 1), np.float32), validate=False))
+        with Tape():
+            backward(sum_all(L.conv2d(x, p)))
+        xp = np.pad(x.data[0].astype(np.float64), ((0, 0), (1, 1), (1, 1)))
+        ref = np.array([[[xp[c, i:i + 304, j:j + 304].sum() for j in range(3)]
+                         for i in range(3)] for c in range(16)])
+        assert np.allclose(p.filters.grad, ref[None].repeat(2, axis=0), rtol=1e-4)
 
 
 class TestBatchNorm:

@@ -1,5 +1,6 @@
 """Optimizer update rule, training loop behavior, and evaluation."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -288,6 +289,19 @@ class TestEvaluate:
         assert counts.tp.tolist() == manual.tp.tolist()
         assert counts.fp.tolist() == manual.fp.tolist()
         assert rep == M.compute_report(manual)
+
+
+def test_segment_304_peak_memory():
+    # the untracked convs' banded im2col keeps this ~31 MB; whole columns took 83 MB
+    net = N.build("sa-re-dae", (16, 32), 3, Rng(0))
+    image = Rng(1).uniform(0.0, 1.0, (304, 304, 1))
+    tracemalloc.start()
+    try:
+        O.segment(net, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 class TestInferenceState:
