@@ -14,12 +14,12 @@ Layout (all integers little-endian):
 
 Parameters and running statistics are stored in float32, the dtype the
 network trains and infers in, so a save -> load -> save round trip is
-byte-stable. `save` renames a finished file onto the target, so a failed
-save leaves an earlier checkpoint at that path untouched. `load` builds a
-float32 network and requires every tensor of the saved topology exactly
-once, with no trailing bytes, every value finite, every running variance
-nonnegative and every class weight positive; anything else is a
-`DataError`.
+byte-stable. `save` refuses a folded inference copy (`network.fold`) and
+renames a finished file onto the target, so a failed save leaves an earlier
+checkpoint at that path untouched. `load` builds a float32 network and
+requires every tensor of the saved topology exactly once, with no trailing
+bytes, every value finite, every running variance nonnegative and every
+class weight positive; anything else is a `DataError`.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import numpy as np
 from .data import Sample
 from .errors import ConfigError, DataError
 from .metrics import dice_frac
-from .network import build
+from .network import build, fold
 from .optim import TrainConfig, TrainLog, evaluate, segment, train
 from .tensor import Rng
 
@@ -89,7 +89,8 @@ class HybridPoolingSegmenter:
     def predict(self, X) -> np.ndarray:
         self._check_fitted()
         X = _as_image_array(X)
-        return np.stack([segment(self.network_, img) for img in X])
+        net = fold(self.network_)
+        return np.stack([segment(net, img) for img in X])
 
     def score(self, X, y) -> float:
         """Mean per-class Dice over all classes, in [0, 1]."""

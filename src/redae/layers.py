@@ -1,10 +1,9 @@
 """Primitive network layers: convolution, batch norm, pooling, fusion, loss.
 
-All layers are pure functions over (input, params), except batch norm in
-training, which also updates its running statistics. The caller chooses:
-`batch_norm(x, p, train)` normalizes with the batch's statistics when `train`
-is true, and with the running statistics, leaving them as they are, when it
-is false. Each layer defines its backward rule as a closure `bwd(g)` and
+All layers are pure functions over (input, params), except batch norm,
+which runs only in training and updates its running statistics;
+inference reads those through the convs that absorb them (`network.fold`).
+Each layer defines its backward rule as a closure `bwd(g)` and
 hands it to `make_op_output`, which records it on the active tape. Every op
 computes and allocates its scratch buffers in its input's dtype (float32 or
 float64), with params in the same dtype, so nothing upcasts. Arrays that
@@ -226,21 +225,18 @@ def relu(x: Tensor4) -> Tensor4:
 # Batch normalization
 
 
-def batch_norm(x: Tensor4, p: BatchNormParams, train: bool) -> Tensor4:
-    """Batch statistics and a running-stat update if `train`, else running statistics."""
+def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
+    """Normalize with the batch's statistics and update the running statistics."""
     n, c, h, w = x.shape
     if c != p.channels:
         raise ShapeError(f"batch_norm: input has {c} channels, params expect {p.channels}")
+    if n * h * w < 2:
+        raise ShapeError("batch_norm in training needs >= 2 values per channel")
     axes = (0, 2, 3)
-    if train:
-        if n * h * w < 2:
-            raise ShapeError("batch_norm in training needs >= 2 values per channel")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        p.running_mean += p.momentum * (mean - p.running_mean)
-        p.running_var += p.momentum * (var - p.running_var)
-    else:
-        mean, var = p.running_mean, p.running_var
+    mean = x.data.mean(axis=axes)
+    var = x.data.var(axis=axes)
+    p.running_mean += p.momentum * (mean - p.running_mean)
+    p.running_var += p.momentum * (var - p.running_var)
 
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
     xhat = np.subtract(x.data, mean.reshape(1, c, 1, 1), out=empty(x.shape, x.data.dtype))
@@ -258,11 +254,10 @@ def batch_norm(x: Tensor4, p: BatchNormParams, train: bool) -> Tensor4:
             # g and xhat are not read again
             gk = g
             gk *= p.gamma.data
-            if train:
-                m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
-                m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
-                gk -= m1
-                gk -= np.multiply(xhat, m2, out=xhat)
+            m1 = gk.mean(axis=axes).reshape(1, c, 1, 1)
+            m2 = (gk * xhat).mean(axis=axes).reshape(1, c, 1, 1)
+            gk -= m1
+            gk -= np.multiply(xhat, m2, out=xhat)
             gk *= inv_std.reshape(1, c, 1, 1)
             x.accumulate_grad(gk, own=True)
 

@@ -17,11 +17,13 @@ width must be multiples of `Network.input_multiple` (4 for two encoders).
 A network computes in one dtype, fixed by `build`: float32 for training and
 inference, float64 for gradient checks. `forward` converts its input to that
 dtype once, so callers may pass the float64 arrays of the data pipeline.
+Blocks run conv -> BN -> ReLU in training; inference runs conv -> ReLU on
+the copy `fold` makes, each BN folded into its conv.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +40,7 @@ VARIANTS = ("re-dae", "sa-re-dae", "max-only", "avg-only")
 @dataclass
 class EncoderBlock:
     conv: ConvParams
-    bn: BatchNormParams
+    bn: BatchNormParams | None  # None once folded into conv
     fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
 
 
@@ -46,7 +48,7 @@ class EncoderBlock:
 class DecoderBlock:
     fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
     conv: ConvParams
-    bn: BatchNormParams
+    bn: BatchNormParams | None  # None once folded into conv
 
 
 @dataclass
@@ -59,7 +61,7 @@ class Network:
     encoders: list[EncoderBlock]
     decoders: list[DecoderBlock]  # reverse order: decoders[0] mirrors encoders[-1]
     head: ConvParams
-    class_weights: ClassWeights = field(default_factory=lambda: ClassWeights.unit(3))
+    class_weights: ClassWeights
 
     @property
     def dtype(self) -> np.dtype:
@@ -148,10 +150,16 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
                    class_weights=ClassWeights.unit(classes))
 
 
+def _unfolded(net: Network) -> Network:
+    if net.encoders[0].bn is None:
+        raise ConfigError("the network is a folded inference copy, which cannot train or be saved")
+    return net
+
+
 def named_parameters(net: Network) -> list[tuple[str, Tensor4]]:
     """Trainable tensors in a fixed, stable order."""
     out: list[tuple[str, Tensor4]] = []
-    for i, e in enumerate(net.encoders):
+    for i, e in enumerate(_unfolded(net).encoders):
         out += [(f"enc{i}.conv.filters", e.conv.filters), (f"enc{i}.conv.bias", e.conv.bias),
                 (f"enc{i}.bn.gamma", e.bn.gamma), (f"enc{i}.bn.beta", e.bn.beta)]
         if e.fuse is not None:
@@ -168,7 +176,7 @@ def named_parameters(net: Network) -> list[tuple[str, Tensor4]]:
 def named_buffers(net: Network) -> list[tuple[str, np.ndarray]]:
     """Non-trainable state (batch-norm running statistics)."""
     out: list[tuple[str, np.ndarray]] = []
-    for i, e in enumerate(net.encoders):
+    for i, e in enumerate(_unfolded(net).encoders):
         out += [(f"enc{i}.bn.running_mean", e.bn.running_mean),
                 (f"enc{i}.bn.running_var", e.bn.running_var)]
     for i, d in enumerate(net.decoders):
@@ -177,13 +185,32 @@ def named_buffers(net: Network) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+def fold(net: Network) -> Network:
+    """Inference copy of `net`, each BN folded into its conv; a folded copy is returned as is.
+
+    With s = gamma / sqrt(running_var + epsilon), W' = W * s and b' = (b - running_mean) * s
+    + beta, computed in float64 and rounded once; fuse, head and class weights are shared.
+    """
+    if net.encoders[0].bn is None:
+        return net
+
+    def folded(conv: ConvParams, bn: BatchNormParams) -> ConvParams:
+        s = bn.gamma.data / np.sqrt(bn.running_var.astype(np.float64).reshape(1, -1, 1, 1) + bn.epsilon)
+        b = (conv.bias.data - bn.running_mean.astype(np.float64).reshape(s.shape)) * s + bn.beta.data
+        w = conv.filters.data * s.reshape(-1, 1, 1, 1)
+        return ConvParams(*(Tensor4(a.astype(net.dtype), validate=False) for a in (w, b)))
+
+    return replace(net, encoders=[replace(e, conv=folded(e.conv, e.bn), bn=None) for e in net.encoders],
+                   decoders=[replace(d, conv=folded(d.conv, d.bn), bn=None) for d in net.decoders])
+
+
 def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
     """Full-resolution class logits (n, classes, h, w), in the network's dtype.
 
-    `train` selects batch norm's statistics: the batch's, updating the
-    running statistics, for a training step (`loss` passes True); the
-    running statistics, left as they are, for inference.
+    `train=True` (`loss`) runs batch norm on the batch's statistics and updates
+    the running statistics; otherwise `forward` runs `fold(net)`, writing nothing.
     """
+    net = _unfolded(net) if train else fold(net)
     n, c, h, w = x.shape
     if c != net.in_channels:
         raise ShapeError(f"forward: input has {c} channels, network expects {net.in_channels}")
@@ -195,8 +222,9 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
 
     indices = []
     t = astype(x, net.dtype)
+    norm = batch_norm if train else (lambda t, _: t)  # folded into the conv for inference
     for enc in net.encoders:
-        t = relu(batch_norm(conv2d(t, enc.conv), enc.bn, train))
+        t = relu(norm(conv2d(t, enc.conv), enc.bn))
         if net.variant == "avg-only":
             t = avg_pool(t)
         elif net.variant == "max-only":
@@ -214,7 +242,7 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
             t = max_unpool(t, indices[-(i + 1)])
         else:
             t = conv2d(concat_channels(max_unpool(t, indices[-(i + 1)]), avg_upsample(t)), dec.fuse)
-        t = relu(batch_norm(conv2d(t, dec.conv), dec.bn, train))
+        t = relu(norm(conv2d(t, dec.conv), dec.bn))
 
     return conv2d(t, net.head)
 
@@ -239,11 +267,7 @@ def predict(net: Network, x: Tensor4) -> np.ndarray:
 
 
 def loss(net: Network, x: Tensor4, labels: np.ndarray) -> Tensor4:
-    """Weighted cross-entropy of softmax probabilities against a label mask.
-
-    A training loss: batch norm uses the batch's statistics and updates the
-    running statistics.
-    """
+    """Weighted cross-entropy of softmax probabilities against a label mask; trains BN."""
     probs = softmax_pixels(forward(net, x, train=True))
     return weighted_cross_entropy(probs, labels, net.class_weights)
 

@@ -3,8 +3,8 @@
 `segment` is the one inference path: it pads an image to the network's input
 multiple, predicts and crops the mask back. `evaluate`, `redae predict` and
 the estimator all go through it. Training steps run batch norm on the
-batch's statistics (`network.loss`); inference runs it on the running
-statistics and never writes them, whatever the network went through before.
+batch's statistics (`network.loss`); inference runs a copy with batch norm
+folded into the convs (`network.fold`), which `evaluate` makes once per call.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics as M
 from .data import Sample, crop_mask, pad_to_multiple
 from .errors import ConfigError, NumericError
-from .network import (Network, loss as net_loss, median_frequency_weights,
+from .network import (Network, fold, loss as net_loss, median_frequency_weights,
                       named_buffers, named_parameters, predict)
 from .tensor import BufferPool, Rng, Tape, Tensor4, backward
 
@@ -114,13 +114,13 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     """
     if not train_set:
         raise ConfigError("training set is empty")
+    params = named_parameters(net)  # raises for a folded copy, before anything changes
     log = log or TrainLog()
     padded = [pad_to_multiple(s, net.input_multiple)[0] for s in train_set]
 
     if net.variant == "sa-re-dae":
         net.class_weights = median_frequency_weights([s.mask for s in padded], net.classes)
 
-    params = named_parameters(net)
     buffers = [buf for _, buf in named_buffers(net)]
     state = OptimizerState(params)
     pool = BufferPool()  # each step's buffers, reused by the next step
@@ -180,8 +180,7 @@ def segment(net: Network, image: np.ndarray) -> np.ndarray:
     """Class mask (h, w) uint8 of one (h, w, c) image of any size.
 
     The image is zero-padded right/bottom to `net.input_multiple`, predicted
-    as a batch of one, and the mask cropped back to (h, w). Batch norm uses
-    the running statistics and leaves them as they are.
+    as a batch of one, and the mask cropped back to (h, w).
     """
     s = Sample(image=image, mask=np.zeros(image.shape[:2], dtype=np.uint8), id="segment")
     padded, crop = pad_to_multiple(s, net.input_multiple)
@@ -193,6 +192,7 @@ def evaluate(net: Network, samples: list[Sample]) -> tuple[M.MetricsReport, M.Co
     """Segment every sample in order and accumulate pixel confusion counts."""
     if not samples:
         raise ConfigError("evaluation set is empty")
+    net = fold(net)
     counts = M.ConfusionCounts(net.classes)
     for s in samples:
         M.accumulate(counts, segment(net, s.image), s.mask)

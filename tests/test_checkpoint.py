@@ -10,7 +10,7 @@ import redae.checkpoint as C
 import redae.network as N
 import redae.optim as O
 from redae.data import generate_phantoms
-from redae.errors import DataError
+from redae.errors import ConfigError, DataError
 from redae.tensor import Rng
 
 
@@ -109,6 +109,12 @@ class TestRoundTrip:
         monkeypatch.undo()
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["m.ckpt"]  # no temporary left
+
+    def test_folded_copy_is_not_saved(self, tmp_path):
+        p = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match="folded inference copy"):
+            C.save(N.fold(trained_net()), str(p))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIntegrity:

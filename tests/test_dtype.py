@@ -44,6 +44,14 @@ def test_build_dtypes():
         N.build("re-dae", (2, 3), 3, Rng(0), dtype=np.float16)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_fold_keeps_the_network_dtype(dtype):
+    folded = N.fold(N.build("sa-re-dae", (2, 3), 3, Rng(0), dtype=dtype))
+    for blk in folded.encoders + folded.decoders:
+        assert blk.conv.filters.data.dtype == dtype and blk.conv.bias.data.dtype == dtype
+    assert folded.dtype == dtype
+
+
 def test_float32_and_float64_builds_share_the_init():
     a = N.build("sa-re-dae", (2, 3), 3, Rng(5))
     b = N.build("sa-re-dae", (2, 3), 3, Rng(5), dtype=np.float64)

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+import redae.estimator as E
+import redae.network as N
+import redae.optim as O
 from redae import HybridPoolingSegmenter
 from redae.data import generate_phantoms
 from redae.errors import ConfigError, DataError
 from redae.tensor import Rng
+
+from test_optim import count_folds
 
 
 def small_xy(n=6, size=32, seed=0):
@@ -63,6 +68,20 @@ class TestFitPredict:
         assert pred.shape == y[4:].shape
         assert pred.dtype == np.uint8
         assert set(np.unique(pred)) <= {0, 1, 2}
+
+    def test_predict_folds_once_and_writes_nothing(self, monkeypatch):
+        X, y = small_xy(4)
+        est = small_estimator(epochs=1).fit(X, y)
+        net = est.network_
+
+        def state():
+            return [t.data.tobytes() for _, t in N.named_parameters(net)] + \
+                [b.tobytes() for _, b in N.named_buffers(net)]
+        before = state()
+        folds = count_folds(monkeypatch, N, O, E)
+        assert est.predict(X[:3]).shape == (3, 32, 32)
+        assert folds == [net]
+        assert state() == before
 
     def test_predict_pads_odd_sizes(self):
         X, y = small_xy()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redae.layers as L
+import redae.network as N
 from redae.errors import DataError, ShapeError
 from redae.tensor import Rng, Tape, Tensor4, backward, grad_check
 
@@ -130,7 +131,7 @@ class TestBatchNorm:
         rng = Rng(4)
         x = rng.tensor_normal((4, 3, 8, 8), scale=3.0)
         p = _bn_params(3)
-        out = L.batch_norm(x, p, True).data
+        out = L.batch_norm(x, p).data
         assert np.allclose(out.mean(axis=(0, 2, 3)), 0, atol=1e-10)
         assert np.allclose(out.var(axis=(0, 2, 3)), 1, atol=1e-4)
 
@@ -138,29 +139,43 @@ class TestBatchNorm:
         rng = Rng(5)
         x = rng.tensor_normal((4, 2, 4, 4))
         p = _bn_params(2)
-        L.batch_norm(x, p, True)
+        L.batch_norm(x, p)
         m = x.data.mean(axis=(0, 2, 3))
         v = x.data.var(axis=(0, 2, 3))
         assert np.allclose(p.running_mean, 0.1 * m)
         assert np.allclose(p.running_var, 1 + 0.1 * (v - 1))
 
-    def test_eval_uses_running_stats(self):
+    def test_fold_matches_conv_then_running_stat_bn(self):
+        # each folded conv equals its conv followed by an inference-mode BN,
+        # (t - mean) / sqrt(var + eps) * gamma + beta, written out by hand
         rng = Rng(6)
-        x = rng.tensor_normal((2, 2, 4, 4))
-        p = _bn_params(2)
-        p.running_mean[:] = [1.0, -1.0]
-        p.running_var[:] = [4.0, 0.25]
-        out = L.batch_norm(x, p, False).data
-        assert p.running_mean.tolist() == [1.0, -1.0]  # inference writes nothing
-        assert p.running_var.tolist() == [4.0, 0.25]
-        ref = (x.data - np.array([1.0, -1.0]).reshape(1, 2, 1, 1)) \
-            / np.sqrt(np.array([4.0, 0.25]).reshape(1, 2, 1, 1) + 1e-5)
-        assert np.allclose(out, ref)
+        net = N.build("sa-re-dae", (3, 4), 3, rng, dtype=np.float64)
+        blocks = net.encoders + net.decoders
+        for blk in blocks:
+            c = blk.bn.channels
+            blk.conv.bias.data = rng.normal((1, c, 1, 1))
+            blk.bn.gamma.data = rng.normal((1, c, 1, 1))
+            blk.bn.beta.data = rng.normal((1, c, 1, 1))
+            blk.bn.running_mean[:] = rng.normal((c,), 2.0)
+            blk.bn.running_var[:] = rng.uniform(1e-3, 4.0, (c,))
+        folded = N.fold(net)
+        for blk, fb in zip(blocks, folded.encoders + folded.decoders):
+            assert fb.bn is None
+            assert not (fb.conv.filters.requires_grad or fb.conv.bias.requires_grad)
+            x = rng.tensor_normal((2, blk.conv.filters.shape[1], 8, 8))
+            t = L.conv2d(x, blk.conv).data
+            shape = (1, -1, 1, 1)
+            ref = (t - blk.bn.running_mean.reshape(shape)) \
+                / np.sqrt(blk.bn.running_var.reshape(shape) + blk.bn.epsilon) \
+                * blk.bn.gamma.data + blk.bn.beta.data
+            out = L.conv2d(x, fb.conv).data
+            assert out.dtype == np.float64
+            assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_train_needs_batch(self):
         p = _bn_params(1)
         with pytest.raises(ShapeError):
-            L.batch_norm(Tensor4(np.ones((1, 1, 1, 1))), p, True)
+            L.batch_norm(Tensor4(np.ones((1, 1, 1, 1))), p)
 
 
 class TestPoolingForward:
@@ -397,14 +412,7 @@ def _layer_grad_cases():
 
     def bn_train_case(rng):
         p = _bn_params(3, rng)
-        return (lambda t: sum_all(mul(L.batch_norm(t, p, True), L.batch_norm(t, p, True))),
-                rng.tensor_normal((2, 3, 8, 8)))
-
-    def bn_eval_case(rng):
-        p = _bn_params(3, rng)
-        p.running_mean[:] = rng.normal((3,))
-        p.running_var[:] = 1.0 + rng.uniform(0.1, 2.0, (3,))
-        return (lambda t: sum_all(mul(L.batch_norm(t, p, False), L.batch_norm(t, p, False))),
+        return (lambda t: sum_all(mul(L.batch_norm(t, p), L.batch_norm(t, p))),
                 rng.tensor_normal((2, 3, 8, 8)))
 
     def max_pool_case(rng):
@@ -450,7 +458,6 @@ def _layer_grad_cases():
         ("conv2d_1x1", conv1x1_case),
         ("relu", relu_case),
         ("batch_norm_train", bn_train_case),
-        ("batch_norm_eval", bn_eval_case),
         ("max_pool", max_pool_case),
         ("max_unpool", max_unpool_case),
         ("avg_pool", avg_pool_case),

@@ -137,6 +137,34 @@ class TestForward:
         assert np.array_equal(N.forward(a, x).data, N.forward(b, x).data)
 
 
+class TestFold:
+    def test_folded_copy_shares_what_it_does_not_fold(self):
+        net = small_net()
+        folded = N.fold(net)
+        assert N.fold(folded) is folded
+        assert all(b.bn is None for b in folded.encoders + folded.decoders)
+        assert all(b.bn is not None for b in net.encoders + net.decoders)  # net unchanged
+        for a, b in zip(net.encoders + net.decoders, folded.encoders + folded.decoders):
+            assert a.fuse is b.fuse and a.conv is not b.conv
+        assert folded.head is net.head and folded.class_weights is net.class_weights
+
+    def test_forward_runs_the_folded_copy(self):
+        net = small_net()
+        x = Rng(12).tensor_normal((2, 1, 8, 8))
+        assert np.array_equal(N.forward(net, x).data, N.forward(N.fold(net), x).data)
+
+    def test_folded_copy_refuses_to_train(self):
+        folded = N.fold(small_net())
+        x = Rng(13).tensor_normal((2, 1, 8, 8))
+        labels = np.zeros((2, 8, 8), np.int64)
+        with pytest.raises(ConfigError, match="folded inference copy"):
+            N.forward(folded, x, train=True)
+        with pytest.raises(ConfigError, match="folded inference copy"):
+            N.loss(folded, x, labels)
+        with pytest.raises(ConfigError, match="folded inference copy"):
+            N.named_parameters(folded)
+
+
 class TestLossAndWeights:
     def test_loss_is_finite_scalar(self):
         net = small_net()

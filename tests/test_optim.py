@@ -102,6 +102,23 @@ def tiny_cfg(**kw):
     return O.TrainConfig(**base)
 
 
+def count_folds(monkeypatch, *modules):
+    """Routes each module's `fold` through a counter; returns the networks it folded.
+
+    A call on a network that is folded already does no work and is not counted.
+    """
+    folded, fold = [], N.fold
+
+    def counting(net):
+        out = fold(net)
+        if out is not net:
+            folded.append(net)
+        return out
+    for module in modules:
+        monkeypatch.setattr(module, "fold", counting)
+    return folded
+
+
 class TestTrainLoop:
     def test_empty_training_set_rejected(self):
         net = N.build("re-dae", (2, 3), 3, Rng(0))
@@ -233,6 +250,20 @@ class TestTrainLoop:
         for (name, before), (_, now) in zip(last, snapshot()):
             assert np.array_equal(before, now), name
 
+    def test_folded_copy_refuses_to_train(self):
+        folded = N.fold(N.build("sa-re-dae", (2, 3), 3, Rng(1)))
+        weights = folded.class_weights
+        with pytest.raises(ConfigError, match="folded inference copy"):
+            O.train(folded, tiny_dataset(2), None, tiny_cfg(epochs=1))
+        assert folded.class_weights is weights  # refused before anything changed
+
+    def test_validation_folds_once_per_epoch(self, monkeypatch):
+        samples = tiny_dataset(8)
+        net = N.build("re-dae", (2, 3), 3, Rng(5))
+        folds = count_folds(monkeypatch, N, O)
+        O.train(net, samples[:3], samples[3:], tiny_cfg(epochs=2))
+        assert folds == [net, net]
+
     def test_val_metrics_logged_per_epoch(self):
         samples = tiny_dataset(6)
         net = N.build("re-dae", (2, 3), 3, Rng(5))
@@ -290,6 +321,13 @@ class TestEvaluate:
         assert counts.fp.tolist() == manual.fp.tolist()
         assert rep == M.compute_report(manual)
 
+    def test_folds_once_per_call(self, monkeypatch):
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(7))
+        samples = tiny_dataset(5, seed=3)
+        folds = count_folds(monkeypatch, N, O)
+        O.evaluate(net, samples)
+        assert folds == [net]
+
 
 def test_segment_304_peak_memory():
     # the untracked convs' banded im2col keeps this ~31 MB; whole columns took 83 MB
@@ -305,7 +343,7 @@ def test_segment_304_peak_memory():
 
 
 class TestInferenceState:
-    """Inference reads batch norm's running statistics and never writes them."""
+    """Inference reads batch norm's running statistics and writes no network state."""
 
     @pytest.mark.parametrize("kind", ["fresh", "trained", "loaded"])
     def test_only_the_training_loss_writes_running_stats(self, kind, tmp_path):
@@ -327,9 +365,11 @@ class TestInferenceState:
                 lambda: est.predict(np.stack([s.image for s in samples])),
         }
         before = [b.tobytes() for _, b in N.named_buffers(net)]
+        params = [t.data.tobytes() for _, t in N.named_parameters(net)]
         for name, call in calls.items():
             call()
             assert [b.tobytes() for _, b in N.named_buffers(net)] == before, name
+            assert [t.data.tobytes() for _, t in N.named_parameters(net)] == params, name
         N.loss(net, x, labels)
         after = [b.tobytes() for _, b in N.named_buffers(net)]
         assert all(a != b for a, b in zip(after, before))
