@@ -3,28 +3,29 @@
 All layers are pure functions over (input, params), except batch norm,
 which runs only in training and updates its running statistics;
 inference reads those through the convs that absorb them (`network.fold`).
-Each layer defines its backward rule as a closure `bwd(g)` and
-hands it to `make_op_output`, which records it on the active tape. Every op
-computes and allocates its scratch buffers in its input's dtype (float32 or
-float64), with params in the same dtype, so nothing upcasts. Arrays that
-live for a step (padded inputs, im2col columns, outputs, the col2im buffer)
-come from `tensor.empty`, which a training run serves from its
-`BufferPool`; a backward closure owns the grad it is handed and writes into
-it where it can. Every convolution zero-pads to keep the spatial size
-("same"). An unrecorded 3x3 conv builds its im2col columns in row bands of
-at most `_BAND_BYTES`, each band's GEMM writing its rows of the output, so
-inference never holds all the columns; a recorded one builds them whole, as
-its backward reads them. Pooling uses the paper's non-overlapping 2x2
-windows with stride 2; max-pooling memorizes the flat index, into its
-input, of each window's max, so the decoder can place values back exactly
-during unpooling.
+Each layer hands its backward closure `bwd(g)` to `make_op_output`, which
+records it on the active tape. Every op computes in its input's dtype
+(float32 or float64), params included, so nothing upcasts. Step arrays
+(padded inputs, im2col columns, outputs, the col2im buffer) come from
+`tensor.empty`, which a training run serves from its `BufferPool`; a
+backward closure owns the grad it is handed and writes into it where it can.
+Convolutions zero-pad to keep the spatial size ("same"). A 3x3 conv that
+is recorded (its backward reads every column) or whose columns fit in
+`_BAND_BYTES` builds all its im2col columns; a larger unrecorded one builds
+them from a padded-width image in row bands of at most `_BAND_BYTES`, each
+tap's columns one contiguous slice, so inference never holds them all.
+Pooling uses the paper's non-overlapping 2x2 windows with stride 2;
+max-pooling memorizes the flat index, into its input, of each window's max,
+for exact unpooling. `hybrid_pool` and `hybrid_unpool` write both branches
+of a hybrid block straight into one channel-concatenated map.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DataError, NumericError, ShapeError
 from .tensor import Tensor4, empty, make_op_output, tracks_grad
@@ -57,18 +58,20 @@ class PoolIndices:
     """Flat index, into the pooled input, of each 2x2 window's max; shaped like the pooled map."""
 
     offsets: np.ndarray  # intp, shape (n, c, oh, ow)
+    validate: InitVar[bool] = True  # False skips the window check, as for `Tensor4`
 
-    def __post_init__(self):
+    def __post_init__(self, validate):
         if self.offsets.ndim != 4:
             raise ShapeError(f"pool indices must be rank 4, got {self.offsets.shape}")
-        # an index lies in its window iff, less the window's first element,
-        # it is 0, 1, w or w + 1; w is even, so clearing bit 0 leaves 0 or w
-        w = 2 * self.offsets.shape[3]
-        rel = _window_starts(self.offsets.shape)
-        np.subtract(self.offsets, rel, out=rel)
-        rel &= -2
-        if np.count_nonzero(rel) != np.count_nonzero(rel == w):
-            raise ShapeError("pool index outside its window")
+        if validate:
+            # an index lies in its window iff, less the window's first element,
+            # it is 0, 1, w or w + 1; w is even, so clearing bit 0 leaves 0 or w
+            w = 2 * self.offsets.shape[3]
+            rel = _window_starts(self.offsets.shape)
+            np.subtract(self.offsets, rel, out=rel)
+            rel &= -2
+            if np.count_nonzero(rel) != np.count_nonzero(rel == w):
+                raise ShapeError("pool index outside its window")
 
 
 @dataclass
@@ -158,29 +161,42 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
 
     ph, pw = (kp - 1) // 2, (kq - 1) // 2
     dtype = x.data.dtype
-    xp = empty((n, c_in, h + 2 * ph, w + 2 * pw), dtype)
+    wp = w + 2 * pw
+    xp = empty((n, c_in, h + 2 * ph + 1, wp), dtype)  # + a spare zero row for the bands
     xp[:, :, :ph] = 0
     xp[:, :, ph + h:] = 0
     xp[:, :, ph:ph + h, :pw] = 0
     xp[:, :, ph:ph + h, pw + w:] = 0
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    # im2col in (n, c_in * kp * kq, rows * w) layout: one shifted-slice copy
-    # per filter offset, never a strided transpose; one band when recorded
     k = c_in * kp * kq
-    bands = 1 if tracks_grad((x, p.filters, p.bias)) else \
-        -(-n * k * h * w * dtype.itemsize // _BAND_BYTES)
-    rows = -(-h // bands)
-    buf = empty((n, c_in, kp * kq, rows, w), dtype)
     wmat = p.filters.data.reshape(c_out, k)
     out = empty((n, c_out, h, w), dtype)
-    for r0 in range(0, h, rows):
-        r = min(rows, h - r0)
-        cols = buf.reshape(-1)[:n * k * r * w].reshape(n, c_in, kp * kq, r, w)
-        for i in range(kp):
-            for j in range(kq):
-                cols[:, :, i * kq + j] = xp[:, :, r0 + i:r0 + i + r, j:j + w]
-        cols = cols.reshape(n, k, r * w)
-        np.matmul(wmat, cols, out=out[:, :, r0:r0 + r].reshape(n, c_out, r * w))
+    bands = 1 if tracks_grad((x, p.filters, p.bias)) else \
+        -(-n * k * h * wp * dtype.itemsize // _BAND_BYTES)
+    if bands > 1:
+        # padded-width im2col in row bands: tap (i, j)'s columns for rows r0..r0+r are the
+        # r * wp elements of each padded plane from (r0 + i) * wp + j (the last ends in the spare row)
+        rows = -(-h // bands)
+        buf = empty((n * k * rows * wp,), dtype)
+        gemm = empty((n * c_out * rows * wp,), dtype)
+        sn, sc, _, item = xp.strides
+        for r0 in range(0, h, rows):
+            r = min(rows, h - r0)
+            cols = buf[:n * k * r * wp].reshape(n, k, r * wp)
+            cols.reshape(n, c_in, kp, kq, r * wp)[...] = as_strided(
+                xp[:, :, r0:], (n, c_in, kp, kq, r * wp), (sn, sc, wp * item, item, item))
+            band = np.matmul(wmat, cols, out=gemm[:n * c_out * r * wp].reshape(n, c_out, r * wp))
+            out[:, :, r0:r0 + r] = band.reshape(n, c_out, r, wp)[..., :w]
+        out += p.bias.data
+        return Tensor4(out, validate=False)
+
+    # one band: all columns, (n, k, h * w), one shifted-slice copy per tap
+    cols = empty((n, c_in, kp * kq, h, w), dtype)
+    for i in range(kp):
+        for j in range(kq):
+            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
+    cols = cols.reshape(n, k, h * w)
+    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
     out += p.bias.data
 
     def bwd(g):
@@ -268,12 +284,14 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 # Pooling
 
 
-def _check_divisible(x: Tensor4, name: str) -> None:
-    _, _, h, w = x.shape
+def _pooled(x: Tensor4, name: str, branches: int = 1) -> np.ndarray:
+    """An uninitialised (n, branches * c, h/2, w/2) map to pool x into."""
+    n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(
             f"{name}: spatial dims {h}x{w} not divisible by window 2; "
             "pad the input first (see data.pad_to_multiple)")
+    return empty((n, branches * c, h // 2, w // 2), x.data.dtype)
 
 
 def _window_starts(shape) -> np.ndarray:
@@ -285,53 +303,82 @@ def _window_starts(shape) -> np.ndarray:
     return out
 
 
-def _scatter_2x2(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Place values at their flat indices in a zero (n, c, 2oh, 2ow) map."""
+def _scatter_2x2(values: np.ndarray, offsets: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Zero `out` (new if None; each out[b] contiguous), then put values at their flat indices."""
     n, c, oh, ow = values.shape
-    out = empty((n, c, oh * 2, ow * 2), values.dtype)
-    out.fill(0)
-    out.reshape(-1)[offsets] = values
+    if out is None:
+        out = empty((n, c, oh * 2, ow * 2), values.dtype)
+    out[...] = 0
+    if out.flags.c_contiguous:
+        out.reshape(-1)[offsets] = values
+    else:  # sample b's indices start at b * c * 4 * oh * ow
+        for b in range(n):
+            out[b].reshape(-1)[offsets[b] - b * c * 4 * oh * ow] = values[b]
     return out
 
 
-def _replicate_2x2(values: np.ndarray) -> np.ndarray:
-    """Copy each value across its 2x2 window: four strided writes."""
+def _replicate_2x2(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Copy each value across its 2x2 window of `out` (new if None): four strided writes."""
     n, c, h, w = values.shape
-    out = empty((n, c, h * 2, w * 2), values.dtype)
-    view = out.reshape(n, c, h, 2, w, 2)
+    if out is None:
+        out = empty((n, c, h * 2, w * 2), values.dtype)
     for i in range(2):
         for j in range(2):
-            view[:, :, :, i, :, j] = values
+            out[:, :, i::2, j::2] = values
     return out
 
 
-def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
-    """Window max with memorized flat indices; ties pick the first in row-major order.
+def _sum_2x2(g: np.ndarray) -> np.ndarray:
+    """Each 2x2 window's sum, in numpy's `sum(axis=(3, 5))` order; may overwrite g."""
+    n, c, h, w = g.shape
+    a = g.reshape(n, c, h // 2, 2, w // 2, 2)
+    if w == 2:  # numpy sums a width-2 grad in another order
+        return a.sum(axis=(3, 5))
+    # (a00 + a01) + (a10 + a11), numpy's order at other widths
+    total = np.add(a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1])
+    total += np.add(a[:, :, :, 1, :, 0], a[:, :, :, 1, :, 1], out=a[:, :, :, 1, :, 0])
+    return total
+
+
+def _avg_2x2(x: np.ndarray, out: np.ndarray) -> None:
+    """Window means into `out`: ((a00 + a01) + a10 + a11) * 0.25."""
+    np.add(x[:, :, 0::2, 0::2], x[:, :, 0::2, 1::2], out=out)
+    out += x[:, :, 1::2, 0::2]
+    out += x[:, :, 1::2, 1::2]
+    out *= 0.25
+
+
+def _max_2x2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Window maxima into `out`; returns the flat index, into x, of each.
 
     Two pairwise stages: left vs right column, then top vs bottom row of
     the column maxima. A strict `>` keeps the left and the top on ties.
     """
-    _check_divisible(x, "max_pool")
-    w = x.shape[3]
-    left, right = x.data[:, :, :, 0::2], x.data[:, :, :, 1::2]
+    left, right = x[:, :, :, 0::2], x[:, :, :, 1::2]
     cols = np.maximum(left, right)
     right_wins = np.greater(right, left)
     top, bottom = cols[:, :, 0::2], cols[:, :, 1::2]
-    out = np.maximum(top, bottom, out=empty(top.shape, x.data.dtype))
+    np.maximum(top, bottom, out=out)
     bottom_wins = np.greater(bottom, top)
     # the winning row's column bit, by bit ops: a select on random
     # bools (np.where, where=) mispredicts branches and runs ~10x slower
     top_right, bottom_right = right_wins[:, :, 0::2], right_wins[:, :, 1::2]
-    offsets = _window_starts(out.shape)
+    offsets = _window_starts(top.shape)
     offsets += top_right ^ (bottom_wins & (top_right ^ bottom_right))
-    offsets += bottom_wins * w
-    idx = PoolIndices(offsets)
+    offsets += bottom_wins * x.shape[3]
+    return offsets
+
+
+def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
+    """Window max with memorized flat indices; ties pick the first in row-major order."""
+    out = _pooled(x, "max_pool")
+    offsets = _max_2x2(x.data, out)
 
     def bwd(g):
         if x.requires_grad:
             x.accumulate_grad(_scatter_2x2(g, offsets), own=True)
 
-    return make_op_output(out, (x,), bwd), idx
+    return make_op_output(out, (x,), bwd), PoolIndices(offsets, validate=False)
 
 
 def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
@@ -348,15 +395,8 @@ def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
 
 def avg_pool(x: Tensor4) -> Tensor4:
     """Window arithmetic mean."""
-    _check_divisible(x, "avg_pool")
-    n, c, h, w = x.shape
-    a = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
-    # ((a00 + a01) + a10 + a11) * 0.25, accumulated in the output
-    out = np.add(a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1],
-                 out=empty((n, c, h // 2, w // 2), x.data.dtype))
-    out += a[:, :, :, 1, :, 0]
-    out += a[:, :, :, 1, :, 1]
-    out *= 0.25
+    out = _pooled(x, "avg_pool")
+    _avg_2x2(x.data, out)
 
     def bwd(g):
         if x.requires_grad:
@@ -370,20 +410,9 @@ def avg_upsample(y: Tensor4) -> Tensor4:
 
     def bwd(g):
         if y.requires_grad:
-            n, c, h, w = g.shape
-            a = g.reshape(n, c, h // 2, 2, w // 2, 2)
-            if w == 2:  # numpy sums a width-2 grad in another order
-                total = a.sum(axis=(3, 5))
-            else:  # (a00 + a01) + (a10 + a11), numpy's order at other widths
-                total = np.add(a[:, :, :, 0, :, 0], a[:, :, :, 0, :, 1])
-                total += np.add(a[:, :, :, 1, :, 0], a[:, :, :, 1, :, 1], out=a[:, :, :, 1, :, 0])
-            y.accumulate_grad(total, own=True)
+            y.accumulate_grad(_sum_2x2(g), own=True)
 
     return make_op_output(_replicate_2x2(y.data), (y,), bwd)
-
-
-# ---------------------------------------------------------------------------
-# Channel concatenation
 
 
 def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
@@ -400,6 +429,40 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
 
     out = empty((na, ca + cb, ha, wa), np.result_type(a.data, b.data))
     return make_op_output(np.concatenate([a.data, b.data], axis=1, out=out), (a, b), bwd)
+
+
+def hybrid_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
+    """`concat_channels(avg_pool(x), max_pool(x))` in one buffer; grads add in that order."""
+    c = x.shape[1]
+    cat = _pooled(x, "hybrid_pool", branches=2)
+    _avg_2x2(x.data, cat[:, :c])
+    offsets = _max_2x2(x.data, cat[:, c:])
+
+    def bwd(g):
+        if x.requires_grad:
+            gx = _replicate_2x2(g[:, :c] / 4)
+            gx += _scatter_2x2(g[:, c:], offsets)
+            x.accumulate_grad(gx, own=True)
+
+    return make_op_output(cat, (x,), bwd), PoolIndices(offsets, validate=False)
+
+
+def hybrid_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
+    """`concat_channels(max_unpool(y, idx), avg_upsample(y))` in one buffer; grads add in reverse."""
+    if y.shape != idx.offsets.shape:
+        raise ShapeError(f"hybrid_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
+    n, c, h, w = y.shape
+    cat = empty((n, 2 * c, 2 * h, 2 * w), y.data.dtype)
+    _scatter_2x2(y.data, idx.offsets, cat[:, :c])
+    _replicate_2x2(y.data, cat[:, c:])
+
+    def bwd(g):
+        if y.requires_grad:
+            gy = _sum_2x2(g[:, c:])
+            gy += np.take(g[:, :c], idx.offsets)
+            y.accumulate_grad(gy, own=True)
+
+    return make_op_output(cat, (y,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Four variants share the conv/BN/ReLU trunk and differ in their pooling path:
 
-* ``re-dae`` / ``sa-re-dae`` - hybrid: each encoder pools through both a max
-  branch (indices memorized) and an average branch, concatenates them
-  (average first), and fuses with a learned 1x1 convolution. Decoders mirror
-  this with index unpooling plus replication upsampling (unpooled first).
+* ``re-dae`` / ``sa-re-dae`` - hybrid: each encoder's `hybrid_pool` writes an
+  average branch and a max branch (indices memorized) into one channel
+  concat, average first, fused by a learned 1x1 convolution. Decoders mirror
+  it with `hybrid_unpool`: index unpooling, then replication upsampling.
 * ``max-only`` - max pooling and index unpooling only (mini SegNet).
 * ``avg-only`` - average pooling and replication upsampling only.
 
@@ -29,9 +29,10 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .layers import (BatchNormParams, ClassWeights, ConvParams, avg_pool,
-                     avg_upsample, batch_norm, concat_channels, conv2d,
-                     max_pool, max_unpool, relu, softmax_pixels,
-                     weighted_cross_entropy)
+                     avg_upsample, batch_norm, conv2d, hybrid_pool,
+                     hybrid_unpool, max_pool, max_unpool, relu,
+                     softmax_pixels, weighted_cross_entropy)
+from .layers import concat_channels  # noqa: F401  (perfbench's tracer wraps it here)
 from .tensor import FLOAT_DTYPES, Rng, Tensor4, astype
 
 VARIANTS = ("re-dae", "sa-re-dae", "max-only", "avg-only")
@@ -231,9 +232,9 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
             t, idx = max_pool(t)
             indices.append(idx)
         else:
-            mx, idx = max_pool(t)
+            t, idx = hybrid_pool(t)
             indices.append(idx)
-            t = conv2d(concat_channels(avg_pool(t), mx), enc.fuse)
+            t = conv2d(t, enc.fuse)
 
     for i, dec in enumerate(net.decoders):
         if net.variant == "avg-only":
@@ -241,7 +242,7 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
         elif net.variant == "max-only":
             t = max_unpool(t, indices[-(i + 1)])
         else:
-            t = conv2d(concat_channels(max_unpool(t, indices[-(i + 1)]), avg_upsample(t)), dec.fuse)
+            t = conv2d(hybrid_unpool(t, indices[-(i + 1)]), dec.fuse)
         t = relu(norm(conv2d(t, dec.conv), dec.bn))
 
     return conv2d(t, net.head)

@@ -58,15 +58,18 @@ OVERLAY_COLORS = {
 }
 
 
+_PALETTE = np.zeros((256, 3))  # uint8 label -> color in [0, 1]; labels without one stay black
+_PALETTE[list(OVERLAY_COLORS)] = np.array(list(OVERLAY_COLORS.values())) / 255.0
+
+
 def overlay(image: np.ndarray, mask: np.ndarray, alpha: float = 0.5) -> np.ndarray:
-    """RGB overlay: palette color alpha-blended over the source image."""
-    h, w = mask.shape
-    if image.shape[2] == 1:
-        base = np.repeat(image, 3, axis=2)
-    else:
-        base = image
-    palette = np.zeros((h, w, 3))
-    for label, color in OVERLAY_COLORS.items():
-        palette[mask == label] = np.asarray(color) / 255.0
-    blended = (1 - alpha) * base + alpha * palette
-    return np.floor(np.clip(blended, 0, 1) * 255.0 + 0.5).astype(np.uint8)
+    """RGB overlay: palette color alpha-blended over the source image, in place.
+
+    `alpha * color + (1 - alpha) * image` swaps the formula's addends: exact."""
+    blended = _PALETTE[mask]
+    blended *= alpha
+    blended += (1 - alpha) * image
+    np.clip(blended, 0, 1, out=blended)
+    blended *= 255.0
+    blended += 0.5
+    return np.floor(blended, out=blended).astype(np.uint8)

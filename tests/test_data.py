@@ -276,3 +276,31 @@ class TestDatasetIO:
     def test_missing_dataset_errors(self, tmp_path):
         with pytest.raises((DataError, OSError)):
             D.read_dataset(str(tmp_path / "nope"))
+
+
+def _overlay_reference(image, mask, alpha=0.5):
+    """`pipeline.overlay` as first written: per-label masks and a repeated gray image."""
+    from redae.pipeline import OVERLAY_COLORS
+    h, w = mask.shape
+    base = np.repeat(image, 3, axis=2) if image.shape[2] == 1 else image
+    palette = np.zeros((h, w, 3))
+    for label, color in OVERLAY_COLORS.items():
+        palette[mask == label] = np.asarray(color) / 255.0
+    blended = (1 - alpha) * base + alpha * palette
+    return np.floor(np.clip(blended, 0, 1) * 255.0 + 0.5).astype(np.uint8)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_overlay_bytes_match_the_reference(channels, alpha):
+    # every uint8 label, so labels without a color are covered; the image
+    # includes 0, 1 and the exact halves where rounding is decided
+    from redae.pipeline import overlay
+    rng = Rng([21, channels])
+    mask = np.arange(256, dtype=np.uint8).repeat(3).reshape(32, 24)
+    image = rng.uniform(0.0, 1.0, (32, 24, channels))
+    image.reshape(-1)[:6] = [0.0, 1.0, 0.5, 127.5 / 255, 0.5 / 255, 254.5 / 255]
+    out = overlay(image, mask, alpha)
+    ref = _overlay_reference(image, mask, alpha)
+    assert out.dtype == np.uint8 and out.shape == (32, 24, 3)
+    assert out.tobytes() == ref.tobytes()

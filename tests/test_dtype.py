@@ -71,7 +71,9 @@ def test_train_step_stays_float32(dtype_spy):
         backward(loss)
     assert loss.data.dtype == np.float32
     O.sgdm_step(params, state, O.TrainConfig())
-    assert len(dtype_spy["outputs"]) > 30 and len(dtype_spy["grads"]) > 30
+    # 23 op outputs: 5 per hybrid encoder and decoder block, the head, softmax
+    # and the loss; 49 grads: one per op output and one per parameter (26)
+    assert len(dtype_spy["outputs"]) == 23 and len(dtype_spy["grads"]) == 49
     assert set(dtype_spy["outputs"]) == {np.dtype(np.float32)}
     assert set(dtype_spy["grads"]) == {np.dtype(np.float32)}
     for name, t in params:

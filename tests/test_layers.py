@@ -83,8 +83,9 @@ class TestConvForward:
 
 
 class TestConvBands:
-    """An untracked 3x3 conv builds its im2col columns in row bands of at most
-    `_BAND_BYTES`; a recorded one builds all of them, as backward needs."""
+    """An untracked 3x3 conv whose im2col columns exceed `_BAND_BYTES` builds
+    them in padded-width row bands; a recorded one builds all of them, as
+    backward needs."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 16, 304, 304), (2, 32, 152, 150)])
@@ -108,6 +109,32 @@ class TestConvBands:
         assert whole.requires_grad
         assert banded.tobytes() == whole.data.tobytes()
         assert peak < col_bytes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c_in,c_out", [(1, 16), (16, 32), (32, 16), (16, 16)])
+    def test_banded_equals_recorded_at_the_network_shapes(self, c_in, c_out, dtype):
+        # the 3x3 convs of a (16, 32) network at sizes it runs them for 64-304
+        # px inputs (1 -> 16 also at 304, where it splits), at the shipped
+        # band size. Not at smaller ones: a band's column count sets which
+        # OpenBLAS kernel computes each column, and some kernels round
+        # differently (with 1 MiB bands the (n, k, h * w) band layout that
+        # preceded padded-width bands gave 2 of these shapes other bytes)
+        sizes = (32, 36, 48, 64, 76, 100, 128, 152) + ((304,) if c_in == 1 else ())
+        split = 0
+        for size in sizes:
+            for n in (1, 2):
+                split += n * c_in * 9 * size * (size + 2) * np.dtype(dtype).itemsize > L._BAND_BYTES
+                rng = Rng([14, c_in, size, n])
+                x = rng.normal((n, c_in, size, size)).astype(dtype)
+                p = L.ConvParams(
+                    Tensor4(rng.normal((c_out, c_in, 3, 3), 0.2).astype(dtype), validate=False),
+                    Tensor4(rng.normal((1, c_out, 1, 1), 0.2).astype(dtype), validate=False))
+                banded = L.conv2d(Tensor4(x, validate=False), p)
+                with Tape():
+                    whole = L.conv2d(Tensor4(x, requires_grad=True, validate=False), p)
+                assert whole.requires_grad and not banded.requires_grad
+                assert banded.data.tobytes() == whole.data.tobytes(), (size, n)
+        assert split  # some of them run in several bands
 
     def test_recorded_conv_keeps_every_column(self):
         # a shape that bands when untracked; the filter grad of sum(out) at
@@ -278,6 +305,81 @@ class TestPoolingForward:
         assert y.grad.dtype == dtype and y.grad.tobytes() == ref.tobytes()
 
 
+def _tied(rng, shape, dtype):
+    """Normal draws, about half replaced by 1.0, 0.0, -0.0 or NaN, so windows tie."""
+    x = rng.normal(shape)
+    special = np.array([1.0, 0.0, -0.0, np.nan])[np.asarray(rng.integers(0, 4, shape))]
+    return np.where(np.asarray(rng.integers(0, 2, shape)) == 1, special, x).astype(dtype)
+
+
+class TestHybridOps:
+    """The hybrid ops are byte for byte the compositions the network used to run."""
+
+    SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 4), (8, 6)]  # pooled (h, w)
+
+    @staticmethod
+    def _grad(fn, x, g):
+        """fn's output on a leaf holding x, and x's grad for the output grad g."""
+        t = Tensor4(x, requires_grad=True, validate=False)
+        with Tape():
+            out = fn(t)
+            y = out[0] if isinstance(out, tuple) else out
+            backward(sum_all(mul(y, Tensor4(g, validate=False))))
+        return out, t.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hybrid_pool_is_avg_max_concat(self, n, dtype):
+        def composed(t):
+            mx, idx = L.max_pool(t)  # in the order network.forward ran them
+            return L.concat_channels(L.avg_pool(t), mx), idx
+
+        for h, w in self.SIZES:
+            rng = Rng([31, n, h, w])
+            x = _tied(rng, (n, 3, 2 * h, 2 * w), dtype)
+            g = rng.normal((n, 6, h, w)).astype(dtype)
+            (out, idx), gx = self._grad(L.hybrid_pool, x, g)
+            (ref, ref_idx), ref_gx = self._grad(composed, x, g)
+            assert out.data.dtype == gx.dtype == dtype
+            assert out.data.tobytes() == ref.data.tobytes(), (h, w)
+            assert np.array_equal(idx.offsets, ref_idx.offsets)
+            assert gx.tobytes() == ref_gx.tobytes(), (h, w)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_hybrid_unpool_is_unpool_upsample_concat(self, n, dtype):
+        for h, w in self.SIZES:  # (., 1) gives avg_upsample a width-2 grad
+            rng = Rng([32, n, h, w])
+            _, idx = L.max_pool(Tensor4(_tied(rng, (n, 3, 2 * h, 2 * w), dtype), validate=False))
+            y = _tied(rng, (n, 3, h, w), dtype)
+            g = rng.normal((n, 6, 2 * h, 2 * w)).astype(dtype)
+            out, gy = self._grad(lambda t: L.hybrid_unpool(t, idx), y, g)
+            ref, ref_gy = self._grad(
+                lambda t: L.concat_channels(L.max_unpool(t, idx), L.avg_upsample(t)), y, g)
+            assert out.data.dtype == gy.dtype == dtype
+            assert out.data.tobytes() == ref.data.tobytes(), (h, w)
+            assert gy.tobytes() == ref_gy.tobytes(), (h, w)
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="pad"):
+            L.hybrid_pool(Tensor4(np.ones((1, 1, 4, 3))))
+        _, idx = L.max_pool(Tensor4(np.ones((1, 2, 4, 4))))
+        with pytest.raises(ShapeError, match="index shape"):
+            L.hybrid_unpool(Tensor4(np.ones((1, 1, 2, 2))), idx)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["max_pool", "hybrid_pool"]),
+       st.integers(1, 2), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from([np.float32, np.float64]))
+def test_pool_offsets_pass_the_window_check(seed, op, n, c, h, w, dtype):
+    # max_pool and hybrid_pool skip PoolIndices' window check; this property
+    # keeps it: every offset they return passes it
+    x = _tied(Rng(seed), (n, c, 2 * h, 2 * w), dtype)
+    _, idx = getattr(L, op)(Tensor4(x, validate=False))
+    L.PoolIndices(idx.offsets)
+
+
 class TestPoolingAlgebra:
     """Exact pooling laws on 1,000 seeded random tensors."""
 
@@ -438,6 +540,20 @@ def _layer_grad_cases():
             return sum_all(mul(up, up))
         return f, rng.tensor_normal((2, 3, 8, 8))
 
+    def hybrid_pool_case(rng):
+        def f(t):
+            y, _ = L.hybrid_pool(t)
+            return sum_all(mul(y, y))
+        return f, rng.tensor_normal((2, 3, 8, 8))
+
+    def hybrid_unpool_case(rng):
+        _, idx = L.max_pool(rng.tensor_normal((2, 3, 8, 8)))
+
+        def f(t):
+            up = L.hybrid_unpool(t, idx)
+            return sum_all(mul(up, up))
+        return f, rng.tensor_normal((2, 3, 4, 4))
+
     def concat_case(rng):
         def f(t):
             c = L.concat_channels(t, t)
@@ -462,6 +578,8 @@ def _layer_grad_cases():
         ("max_unpool", max_unpool_case),
         ("avg_pool", avg_pool_case),
         ("avg_upsample", avg_upsample_case),
+        ("hybrid_pool", hybrid_pool_case),
+        ("hybrid_unpool", hybrid_unpool_case),
         ("concat_channels", concat_case),
         ("softmax_cross_entropy", softmax_ce_case),
     ]

@@ -172,7 +172,8 @@ class TestTape:
         with Tape():
             loss = N.loss(net, x, labels)
             backward(loss)
-        assert len(replayed) > 30 and loss in replayed
+        # the float64 input's cast, 5 ops per hybrid block, the head, softmax and loss
+        assert len(replayed) == 24 and loss in replayed
         assert all(o.grad is None for o in replayed)
         assert x.grad is not None
         assert all(t.grad is not None for _, t in N.named_parameters(net))
