@@ -2,8 +2,9 @@
 
 On-disk formats are binary PGM (P5) for grayscale images and masks and binary
 PPM (P6) for RGB, all 8-bit with maxval 255. In memory an image is a float64
-(h, w, channels) array in [0, 1]; a mask is a uint8 (h, w) array with labels
-{0, 1, 2} = {background, muscle, tear}. The pipeline stays in float64 so that
+(h, w, channels) array in [0, 1]; a mask is a uint8 (h, w) array of class
+labels. Mask files hold {0, 1, 2} = {background, muscle, tear} (`N_CLASSES`);
+in memory the count is the network's. The pipeline stays in float64 so that
 its outputs are exact and byte-stable; a network converts its input to its
 own compute dtype (float32 by default) at `network.forward`.
 """
@@ -18,13 +19,13 @@ import numpy as np
 from .errors import DataError, ShapeError
 from .tensor import Rng
 
-N_CLASSES = 3
+N_CLASSES = 3  # of the mask file format
 
 
 @dataclass
 class Sample:
     image: np.ndarray  # float64 (h, w, c) in [0, 1]
-    mask: np.ndarray  # uint8 (h, w), values < N_CLASSES
+    mask: np.ndarray  # uint8 (h, w), values < the network's class count
     id: str
 
     def __post_init__(self):
@@ -38,19 +39,10 @@ class Sample:
                 self.image.min() < 0.0 or self.image.max() > 1.0):
             raise DataError(
                 f"sample {self.id!r}: image intensities must be finite and in [0, 1]")
-        _validate_mask(self.mask, self.id)
 
     @property
     def channels(self) -> int:
         return self.image.shape[2]
-
-
-def _validate_mask(mask: np.ndarray, sample_id: str) -> None:
-    bad = mask >= N_CLASSES
-    if bad.any():
-        y, x = np.argwhere(bad)[0]
-        raise DataError(f"sample {sample_id!r}: illegal label {int(mask[y, x])} "
-                        f"at pixel ({int(y)}, {int(x)})")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +132,11 @@ def load_sample(image_path: str, mask_path: str, sample_id: str | None = None) -
     if img.shape[:2] != mask.shape:
         raise DataError(f"{image_path}: image {img.shape[:2]} and mask {mask.shape} "
                         "dimensions differ")
+    bad = mask >= N_CLASSES
+    if bad.any():
+        y, x = np.argwhere(bad)[0]
+        raise DataError(f"{mask_path}: illegal label {int(mask[y, x])} "
+                        f"at pixel ({int(y)}, {int(x)})")
     sid = sample_id or os.path.splitext(os.path.basename(image_path))[0]
     return Sample(image=image_to_unit(img), mask=mask.copy(), id=sid)
 

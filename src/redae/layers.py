@@ -7,8 +7,10 @@ Each layer hands its backward closure `bwd(g)` to `make_op_output`, which
 records it on the active tape. Every op computes in its input's dtype
 (float32 or float64), params included, so nothing upcasts. Step arrays
 (padded inputs, im2col columns, outputs, the col2im buffer) come from
-`tensor.empty`, which a training run serves from its `BufferPool`; a
-backward closure owns the grad it is handed and writes into it where it can.
+`tensor.empty`, which a training run serves from its step arena
+(`BufferPool`), so none may outlive its step: a parameter's grad is always
+a fresh array. A backward closure owns the grad it is handed and writes
+into it where it can.
 Convolutions zero-pad to keep the spatial size ("same"). A 3x3 conv that
 is recorded (its backward reads every column) or whose columns fit in
 `_BAND_BYTES` builds all its im2col columns; a larger unrecorded one builds
@@ -124,7 +126,11 @@ class ClassWeights:
 # ---------------------------------------------------------------------------
 # Convolution
 
-_BAND_BYTES = 4 << 20  # fastest at 304x304, and no 64x64 batch-1 conv splits
+# fastest at 304x304, and no 64x64 batch-1 conv splits. Also a byte-identity
+# condition: with OpenBLAS 0.3.31 the banded conv equals the recorded conv's
+# bytes at this value, not at 1 MiB or 256 KiB (OpenBLAS picks a GEMM's kernels
+# by its column count); test_banded_equals_recorded_at_the_network_shapes pins it
+_BAND_BYTES = 4 << 20
 
 
 def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:

@@ -24,7 +24,11 @@ import numpy as np
 from .errors import DataError, ShapeError
 
 TABLE_HEADER = "Region | DS % | Accuracy % | IOU % | Global Acc% | Weighed IOU%"
-DEFAULT_CLASS_NAMES = ("Background", "Muscle", "Tear")
+CLASS_NAMES = ("Background", "Muscle", "Tear")  # then class3, class4, ...
+
+
+def class_name(k: int) -> str:
+    return CLASS_NAMES[k] if k < len(CLASS_NAMES) else f"class{k}"
 
 
 @dataclass
@@ -161,14 +165,13 @@ class MetricsReport:
         }, indent=2)
 
 
-def compute_report(counts: ConfusionCounts,
-                   class_names=DEFAULT_CLASS_NAMES) -> MetricsReport:
+def compute_report(counts: ConfusionCounts) -> MetricsReport:
     if counts.total == 0:
         raise DataError("cannot compute metrics from empty accumulation")
     per_class = []
     for k in range(counts.classes):
         acc, rec = class_accuracy(counts, k)
-        per_class.append(ClassMetrics(name=class_names[k], dice=dice(counts, k),
+        per_class.append(ClassMetrics(name=class_name(k), dice=dice(counts, k),
                                       accuracy_ovr=acc, recall=rec,
                                       iou=iou(counts, k),
                                       truth_pixels=counts.truth_pixels(k)))

@@ -123,7 +123,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
 
     buffers = [buf for _, buf in named_buffers(net)]
     state = OptimizerState(params)
-    pool = BufferPool()  # each step's buffers, reused by the next step
+    pool = BufferPool()  # step arena: nothing a step takes from it outlives the step
     order_rng = Rng([cfg.seed, 0x0D0E])
     t0 = time.monotonic()
     step_no = 0

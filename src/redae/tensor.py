@@ -17,15 +17,13 @@ memory is freed as backward runs, and afterwards only leaves (parameters and
 inputs) hold grads: every op output's grad is None.
 
 Step buffers: ops take arrays that live for one step from `empty`. Inside a
-tape opened with a `BufferPool` these come from the pool, which hands an
-array out again once nothing else refers to it and keeps only the shapes
-the current step asks for, so a training run reuses the same memory every
-step. Anywhere else `empty` is `np.empty`.
+tape opened with a `BufferPool` these come from the pool, a step arena that
+gives each step the previous step's arrays, so nothing taken in a step may
+outlive it. Anywhere else `empty` is `np.empty`.
 """
 
 from __future__ import annotations
 
-import sys
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -96,85 +94,43 @@ class Tensor4:
 
 
 class BufferPool:
-    """Step buffers of one training run, handed out again across its steps.
+    """Step arena: the step buffers of one training run, reused across its steps.
 
     `take` returns an array of the asked shape and dtype with arbitrary
-    contents. It hands out an array it made before only when the pool holds
-    the only reference to it: no variable, view (a view refers to its base),
-    tensor or recorded closure still uses it. That check reads CPython's
-    reference counts against `_unused_refs`, the count `take` sees for an
-    array only the pool holds, which is measured on the running interpreter
-    when this module is imported. When it cannot be measured the pool never
-    hands an array out twice, and `take` is `np.empty`.
+    contents. A step never gets an array twice, and the k-th array a step
+    takes of a (shape, dtype) is the k-th one the previous step took. So
+    nothing a step takes may outlive the step: the next one writes over it.
 
-    The pool keeps only what the current step asks for: `Tape(pool)` starts
-    a step, and the first time a step needs an array the pool lacks, the
-    pool forgets every shape and dtype that step has not asked for yet. So
-    it holds about one step's buffers even when the batch shape changes
-    (a smaller last batch, images of another size).
+    `Tape(pool)` starts a step. The first time a step needs an array the
+    pool lacks, the pool forgets every shape and dtype that step has not
+    asked for yet, so it holds about one step's buffers even when the batch
+    shape changes (a smaller last batch, images of another size).
     """
-
-    _unused_refs: int | None = None  # set by `_measure_unused_refs` below
 
     def __init__(self):
         self._arrays: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
-        self._asked: set[tuple[tuple[int, ...], np.dtype]] = set()
+        self._taken: dict[tuple[tuple[int, ...], np.dtype], int] = {}  # by the current step
 
     def begin_step(self) -> None:
-        self._asked.clear()
+        self._taken.clear()
 
     def clear(self) -> None:
         """Forget every array; those still in use live on with their users."""
         self._arrays.clear()
-        self._asked.clear()
+        self._taken.clear()
 
     def take(self, shape, dtype) -> np.ndarray:
-        if self._unused_refs is None:
-            return np.empty(shape, dtype)
         key = (tuple(shape), np.dtype(dtype))
-        self._asked.add(key)
-        same = self._arrays.setdefault(key, [])
-        for arr in same:
-            if sys.getrefcount(arr) == self._unused_refs:
-                return arr
-        if len(self._arrays) > len(self._asked):
-            self._arrays = {k: v for k, v in self._arrays.items() if k in self._asked}
+        k = self._taken.get(key, 0)
+        self._taken[key] = k + 1
+        same = self._arrays.get(key, [])
+        if k < len(same):
+            return same[k]
+        if self._arrays.keys() - self._taken.keys():
+            self._arrays = {kd: v for kd, v in self._arrays.items() if kd in self._taken}
         arr = np.empty(shape, dtype)
-        same.append(arr)
+        self._arrays.setdefault(key, []).append(arr)
         return arr
-
-
-def _measure_unused_refs() -> int | None:
-    """The reference count `BufferPool.take` reads for an array only it holds.
-
-    Measured by running `take` itself, so it matches the running
-    interpreter's bytecode (CPython 3.14, for one, borrows references that
-    earlier versions count). A count is accepted only if, over enough calls
-    to outlast the interpreter's specialisation of hot code, `take` hands
-    an unused array out again and never one held by a variable or a view.
-    None if no count passes.
-    """
-    shape = (2,)
-    for refs in range(1, 8):
-        pool = BufferPool()
-        pool._unused_refs = refs
-        for _ in range(64):
-            first = id(pool.take(shape, np.float32))
-            held = pool.take(shape, np.float32)
-            if id(held) != first:
-                break
-            view = pool.take(shape, np.float32)[1:]
-            if id(view.base) == first:
-                break
-            if id(pool.take(shape, np.float32)) in (id(held), id(view.base)):
-                break
-            del held, view
-        else:
-            return refs
-    return None
-
-
-BufferPool._unused_refs = _measure_unused_refs()
 
 
 class Tape:

@@ -103,6 +103,17 @@ class TestSample:
             D.Sample(image=np.zeros((2, 2, 1)), mask=np.zeros((2, 3), np.uint8),
                      id="s")
 
+    def test_mask_files_hold_three_classes(self, tmp_path):
+        # in memory a mask may use a fourth class (the network's count); a
+        # mask file may not
+        mask = np.zeros((2, 2), np.uint8)
+        mask[1, 0] = 3
+        s = D.Sample(image=np.zeros((2, 2, 1)), mask=mask, id="s")
+        ip, mp = str(tmp_path / "i.pgm"), str(tmp_path / "m.pgm")
+        D.save_sample(s, ip, mp)
+        with pytest.raises(DataError, match=r"m\.pgm: illegal label 3 at pixel \(1, 0\)"):
+            D.load_sample(ip, mp)
+
     def test_save_load_round_trip(self, tmp_path):
         rng = Rng(4)
         img = np.asarray(rng.integers(0, 256, (6, 6)), dtype=np.uint8)

@@ -7,7 +7,7 @@ import redae.estimator as E
 import redae.network as N
 import redae.optim as O
 from redae import HybridPoolingSegmenter
-from redae.data import generate_phantoms
+from redae.data import Sample, generate_phantoms
 from redae.errors import ConfigError, DataError
 from redae.tensor import Rng
 
@@ -101,6 +101,23 @@ class TestFitPredict:
         est = small_estimator().fit(X[:4], y[:4])
         s = est.score(X[4:], y[4:])
         assert 0.0 <= s <= 1.0
+
+    def test_fit_predict_score_with_a_fourth_class(self):
+        # the class count is the estimator's, not the three of the mask files
+        X, y = small_xy(4)
+        y[:, :4, :4] = 3
+        est = small_estimator(classes=4, epochs=1).fit(X, y)
+        assert est.network_.classes == 4
+        assert est.predict(X).max() <= 3
+        assert 0.0 <= est.score(X, y) <= 1.0
+
+    def test_score_names_classes_past_the_third(self):
+        X, y = small_xy(4)  # labels 0-2 only
+        est = small_estimator(classes=5, epochs=1).fit(X, y)
+        assert 0.0 <= est.score(X, y) <= 1.0
+        rep, _ = O.evaluate(est.network_, [Sample(X[0][:, :, None], y[0], "s")])
+        assert [c.name for c in rep.classes] == ["Background", "Muscle", "Tear",
+                                                 "class3", "class4"]
 
     def test_bad_variant_rejected_at_fit(self):
         X, y = small_xy(2)

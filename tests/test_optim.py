@@ -196,14 +196,18 @@ class TestTrainLoop:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_pool_holds_one_steps_buffers_across_image_sizes(self, monkeypatch):
-        # steps on one shape reuse the first step's buffers; a step on another
-        # shape makes its own and the pool forgets the old shape's
+        # a step on the previous step's batch shape gets its arrays, in order;
+        # a step on another shape (images of another size, a smaller last
+        # batch) makes its own, and the pool forgets the old shape's
         steps = []
         take = O.BufferPool.take
 
         def take_recorded(pool, shape, dtype):
+            # each take: the array, and whether the step before took it at this place
             arr = take(pool, shape, dtype)
-            steps[-1][id(arr)] = weakref.ref(arr)
+            k = len(steps[-1])
+            before = steps[-2][k][0]() if len(steps) > 1 and k < len(steps[-2]) else None
+            steps[-1].append((weakref.ref(arr), arr is before))
             return arr
 
         pools = []
@@ -215,18 +219,66 @@ class TestTrainLoop:
 
             def begin_step(self):
                 super().begin_step()
-                steps.append({})
+                steps.append([])
 
         monkeypatch.setattr(O, "BufferPool", Pool)
         monkeypatch.setattr(Pool, "take", take_recorded)
-        samples = tiny_dataset(2, size=36) + tiny_dataset(2, size=32)
-        net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
-        O.train(net, samples, None, tiny_cfg(epochs=1, batch_size=1, shuffle=False))
-        assert len(steps) == 4
-        assert steps[1].keys() <= steps[0].keys() and steps[3].keys() <= steps[2].keys()
-        assert all(ref() is None for ref in steps[0].values())  # freed
-        held = [a for arrays in pools[0]._arrays.values() for a in arrays]
-        assert {id(a) for a in held} == steps[3].keys() == steps[2].keys()
+        runs = [  # samples, batch size, epochs, which steps share their arrays
+            (tiny_dataset(2, size=36) + tiny_dataset(2, size=32), 1, 1, "aabb"),
+            (tiny_dataset(3), 2, 2, "abcd"),  # each epoch ends on a batch of one
+        ]
+        for samples, batch_size, epochs, shared in runs:
+            steps.clear()
+            net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+            O.train(net, samples, None, tiny_cfg(epochs=epochs, batch_size=batch_size,
+                                                 shuffle=False))
+            assert len(steps) == len(shared)
+            assert not any(again for _, again in steps[0])
+            for i in range(1, len(steps)):
+                if shared[i] == shared[i - 1]:
+                    assert len(steps[i]) == len(steps[i - 1])
+                    assert all(again for _, again in steps[i])
+                else:
+                    assert not any(again for _, again in steps[i])
+            last = [r() for r, _ in steps[-1]]
+            # every array of an earlier batch shape is freed
+            assert all(r() is None for label, step in zip(shared, steps)
+                       if label != shared[-1] for r, _ in step)
+            held = [a for arrays in pools[-1]._arrays.values() for a in arrays]
+            assert sorted(map(id, held)) == sorted(map(id, last))
+
+    @pytest.mark.parametrize("variant", N.VARIANTS)
+    def test_nothing_that_outlives_a_step_shares_the_pools_memory(self, variant, monkeypatch):
+        # the pool hands a step's arrays to the next step, so a parameter,
+        # grad, velocity or running statistic in one of them would be overwritten
+        pools = []
+
+        class Pool(O.BufferPool):
+            def __init__(self):
+                super().__init__()
+                pools.append(self)
+
+        def assert_apart(lasting):
+            pooled = [a for arrays in pools[0]._arrays.values() for a in arrays]
+            assert pooled and lasting
+            for a in lasting:
+                assert not any(np.shares_memory(a, b) for b in pooled)
+
+        net = N.build(variant, (2, 3), 3, Rng(1))
+        sgdm_step = O.sgdm_step
+        checked = []
+
+        def checked_step(params, state, cfg):
+            assert_apart([t.data for _, t in params] + [t.grad for _, t in params]
+                         + [b for _, b in N.named_buffers(net)])
+            sgdm_step(params, state, cfg)
+            assert_apart([t.data for _, t in params] + list(state.velocity.values()))
+            checked.append(len(params))
+
+        monkeypatch.setattr(O, "BufferPool", Pool)
+        monkeypatch.setattr(O, "sgdm_step", checked_step)
+        O.train(net, tiny_dataset(4), None, tiny_cfg(epochs=1))
+        assert len(checked) == 2
 
     def test_nan_abort_restores_parameters(self):
         samples = tiny_dataset(4)

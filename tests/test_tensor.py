@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import redae.network as N
 from redae.errors import AutodiffError, NumericError, ShapeError
-from redae.tensor import (BufferPool, Rng, Tape, Tensor4, _measure_unused_refs,
-                          active_tape, astype, backward, empty, grad_check)
+from redae.tensor import (BufferPool, Rng, Tape, Tensor4, active_tape, astype,
+                          backward, empty, grad_check)
 
 from _ops import mul, sum_all
 
@@ -184,12 +184,14 @@ class TestBufferPool:
 
     def test_unreferenced_array_is_handed_out_again(self):
         pool = BufferPool()
-        first = weakref.ref(pool.take(self.SHAPE, np.float32))
+        with Tape(pool):
+            first = weakref.ref(pool.take(self.SHAPE, np.float32))
         assert first() is not None  # the pool keeps it
-        assert pool.take(self.SHAPE, np.float32) is first()
-        # another shape or dtype gets an array of its own
-        assert pool.take((1, 2, 4, 5), np.float32) is not first()
-        assert pool.take(self.SHAPE, np.float64) is not first()
+        with Tape(pool):
+            assert pool.take(self.SHAPE, np.float32) is first()
+            # another shape or dtype gets an array of its own
+            assert pool.take((1, 2, 4, 5), np.float32) is not first()
+            assert pool.take(self.SHAPE, np.float64) is not first()
 
     def test_referenced_arrays_are_not_handed_out_again(self):
         pool = BufferPool()
@@ -209,21 +211,29 @@ class TestBufferPool:
         assert fresh[0] is not fresh[1]
         assert not any(f is a for f in fresh for a in live)
 
-    def test_unused_count_is_measured_on_this_interpreter(self):
-        # the count that marks an array as unused depends on the interpreter's
-        # bytecode; it is measured at import, and pooling is on wherever the
-        # measurement succeeds, so the tests above exercise the real check
-        assert BufferPool._unused_refs is not None
-        assert _measure_unused_refs() == BufferPool._unused_refs
-
-    def test_pool_without_a_measured_count_never_hands_out_twice(self, monkeypatch):
-        monkeypatch.setattr(BufferPool, "_unused_refs", None)
+    def test_a_step_takes_distinct_arrays_and_the_next_step_the_same(self):
+        # the k-th array a step takes of a shape is the k-th one the step
+        # before took; an array the step let go of is not handed out again
+        net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
+        x = Rng(2).tensor_normal((2, 1, 16, 16))
+        labels = np.asarray(Rng(3).integers(0, 3, (2, 16, 16)), dtype=np.int64)
         pool = BufferPool()
-        first = weakref.ref(pool.take(self.SHAPE, np.float32))
-        assert first() is None  # the pool kept nothing
-        with Tape(pool):
-            kept = empty(self.SHAPE, np.float32)
-            assert empty(self.SHAPE, np.float32) is not kept
+        steps = []
+        take = pool.take
+
+        def take_recorded(shape, dtype):
+            arr = take(shape, dtype)
+            steps[-1].append(id(arr))
+            return arr
+
+        pool.take = take_recorded
+        for _ in range(3):
+            steps.append([])
+            with Tape(pool):
+                backward(N.loss(net, x, labels))
+        assert len(steps[0]) > 30
+        assert len(set(steps[0])) == len(steps[0])
+        assert steps[1] == steps[0] and steps[2] == steps[0]
 
     def test_a_miss_forgets_shapes_the_step_has_not_asked_for(self):
         pool = BufferPool()
@@ -245,6 +255,7 @@ class TestBufferPool:
         pool = BufferPool()
         with Tape(pool):
             first = weakref.ref(empty(self.SHAPE, np.float32))
+        with Tape(pool):
             assert empty(self.SHAPE, np.float32) is first()
         with Tape():
             assert empty(self.SHAPE, np.float32) is not first()
