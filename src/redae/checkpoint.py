@@ -24,6 +24,7 @@ class weight positive; anything else is a `DataError`.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -79,10 +80,19 @@ class _ZeroDraws:
     """Stands in for `build`'s `Rng`: every draw is zeros, and none is random.
 
     `load` overwrites every tensor `build` makes, so drawing a real He
-    initialisation first would be wasted work.
+    initialisation first would be wasted work. Each drawn tensor is stored
+    in the file at 4 bytes a value, and `build` draws before it makes any
+    other array as large, so draws past the file's size are a header whose
+    topology cannot fit: refused before numpy is asked for them.
     """
 
+    def __init__(self, path: str, size: int):
+        self.path, self.left = path, size // 4
+
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
+        self.left -= math.prod(shape)
+        if self.left < 0:
+            raise DataError(f"{self.path}: the header's topology does not fit in the file")
         return np.zeros(shape)
 
 
@@ -126,7 +136,7 @@ def load(path: str) -> Network:
     weights = np.frombuffer(r.take(8 * classes), dtype="<f8").copy()
 
     try:
-        net = build(variant, widths, classes, _ZeroDraws(), in_channels=in_channels,
+        net = build(variant, widths, classes, _ZeroDraws(path, len(raw)), in_channels=in_channels,
                     kernel=kernel, dtype=np.float32)
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None

@@ -298,6 +298,11 @@ class SplitManifest:
                     test.append(sid)
                 else:
                     raise DataError(f"{path}: unknown split {part!r}")
+        seen: set[str] = set()
+        for sid in train + test:  # else eval could score images the model trained on
+            if sid in seen:
+                raise DataError(f"{path}: sample {sid!r} is listed twice")
+            seen.add(sid)
         return SplitManifest(train=train, test=test, seed=seed, ratio=ratio)
 
 

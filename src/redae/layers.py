@@ -6,16 +6,15 @@ inference reads those through the convs that absorb them (`network.fold`).
 Each layer hands its backward closure `bwd(g)` to `make_op_output`, which
 records it on the active tape. Every op computes in its input's dtype
 (float32 or float64), params included, so nothing upcasts. Step arrays
-(padded inputs, im2col columns, outputs, the col2im buffer) come from
-`tensor.empty`, which a training run serves from its step arena
-(`BufferPool`), so none may outlive its step: a parameter's grad is always
-a fresh array. A backward closure owns the grad it is handed and writes
-into it where it can.
+(padded inputs, im2col columns, outputs, grads) come from `tensor.empty`,
+which a training run serves from its step arena (`BufferPool`), so none
+may outlive its step: a parameter's grad is always a fresh array. A
+backward closure owns the grad it is handed and writes into it where it can.
 Convolutions zero-pad to keep the spatial size ("same"). A 3x3 conv that
 is recorded (its backward reads every column) or whose columns fit in
-`_BAND_BYTES` builds all its im2col columns; a larger unrecorded one builds
-them from a padded-width image in row bands of at most `_BAND_BYTES`, each
-tap's columns one contiguous slice, so inference never holds them all.
+`_BAND_BYTES` builds all its im2col columns; a larger unrecorded one, such
+as the conv that computes a 3x3 conv's input grad, builds them from a
+padded-width image in row bands of at most `_BAND_BYTES`, never all at once.
 Pooling uses the paper's non-overlapping 2x2 windows with stride 2;
 max-pooling memorizes the flat index, into its input, of each window's max,
 for exact unpooling. `hybrid_pool` and `hybrid_unpool` write both branches
@@ -156,6 +155,51 @@ def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:
     return make_op_output(out, (x, p.filters, p.bias), bwd)
 
 
+def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
+    """(out, cols): x cross-correlated with (c_out, c_in, p, q) filters, 'same', no bias.
+
+    cols are all x's (n, k, h * w) im2col columns, built when `keep_cols` or when they
+    fit in `_BAND_BYTES`; otherwise None, as the columns are built in row bands."""
+    n, c_in, h, w = x.shape
+    c_out, _, kp, kq = filters.shape
+    ph, pw = (kp - 1) // 2, (kq - 1) // 2
+    wp = w + 2 * pw
+    xp = empty((n, c_in, h + 2 * ph + 1, wp), x.dtype)  # + a spare zero row for the bands
+    xp[:, :, :ph] = 0
+    xp[:, :, ph + h:] = 0
+    xp[:, :, ph:ph + h, :pw] = 0
+    xp[:, :, ph:ph + h, pw + w:] = 0
+    xp[:, :, ph:ph + h, pw:pw + w] = x
+    k = c_in * kp * kq
+    wmat = filters.reshape(c_out, k)
+    out = empty((n, c_out, h, w), x.dtype)
+    bands = 1 if keep_cols else -(-n * k * h * wp * x.dtype.itemsize // _BAND_BYTES)
+    if bands > 1:
+        # padded-width im2col in row bands: tap (i, j)'s columns for rows r0..r0+r are the
+        # r * wp elements of each padded plane from (r0 + i) * wp + j (the last ends in the spare row)
+        rows = -(-h // bands)
+        buf = empty((n * k * rows * wp,), x.dtype)
+        gemm = empty((n * c_out * rows * wp,), x.dtype)
+        sn, sc, _, item = xp.strides
+        for r0 in range(0, h, rows):
+            r = min(rows, h - r0)
+            cols = buf[:n * k * r * wp].reshape(n, k, r * wp)
+            cols.reshape(n, c_in, kp, kq, r * wp)[...] = as_strided(
+                xp[:, :, r0:], (n, c_in, kp, kq, r * wp), (sn, sc, wp * item, item, item))
+            band = np.matmul(wmat, cols, out=gemm[:n * c_out * r * wp].reshape(n, c_out, r * wp))
+            out[:, :, r0:r0 + r] = band.reshape(n, c_out, r, wp)[..., :w]
+        return out, None
+
+    # one band: all columns, (n, k, h * w), one shifted-slice copy per tap
+    cols = empty((n, c_in, kp * kq, h, w), x.dtype)
+    for i in range(kp):
+        for j in range(kq):
+            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
+    cols = cols.reshape(n, k, h * w)
+    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
+    return out, cols
+
+
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     """Stride-1 2D convolution (cross-correlation) with zero 'same' padding."""
     n, c_in, h, w = x.shape
@@ -165,64 +209,19 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     if kp == 1 and kq == 1:
         return _conv2d_1x1(x, p)
 
-    ph, pw = (kp - 1) // 2, (kq - 1) // 2
-    dtype = x.data.dtype
-    wp = w + 2 * pw
-    xp = empty((n, c_in, h + 2 * ph + 1, wp), dtype)  # + a spare zero row for the bands
-    xp[:, :, :ph] = 0
-    xp[:, :, ph + h:] = 0
-    xp[:, :, ph:ph + h, :pw] = 0
-    xp[:, :, ph:ph + h, pw + w:] = 0
-    xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    k = c_in * kp * kq
-    wmat = p.filters.data.reshape(c_out, k)
-    out = empty((n, c_out, h, w), dtype)
-    bands = 1 if tracks_grad((x, p.filters, p.bias)) else \
-        -(-n * k * h * wp * dtype.itemsize // _BAND_BYTES)
-    if bands > 1:
-        # padded-width im2col in row bands: tap (i, j)'s columns for rows r0..r0+r are the
-        # r * wp elements of each padded plane from (r0 + i) * wp + j (the last ends in the spare row)
-        rows = -(-h // bands)
-        buf = empty((n * k * rows * wp,), dtype)
-        gemm = empty((n * c_out * rows * wp,), dtype)
-        sn, sc, _, item = xp.strides
-        for r0 in range(0, h, rows):
-            r = min(rows, h - r0)
-            cols = buf[:n * k * r * wp].reshape(n, k, r * wp)
-            cols.reshape(n, c_in, kp, kq, r * wp)[...] = as_strided(
-                xp[:, :, r0:], (n, c_in, kp, kq, r * wp), (sn, sc, wp * item, item, item))
-            band = np.matmul(wmat, cols, out=gemm[:n * c_out * r * wp].reshape(n, c_out, r * wp))
-            out[:, :, r0:r0 + r] = band.reshape(n, c_out, r, wp)[..., :w]
-        out += p.bias.data
-        return Tensor4(out, validate=False)
-
-    # one band: all columns, (n, k, h * w), one shifted-slice copy per tap
-    cols = empty((n, c_in, kp * kq, h, w), dtype)
-    for i in range(kp):
-        for j in range(kq):
-            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
-    cols = cols.reshape(n, k, h * w)
-    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
+    out, cols = _same_conv(x.data, p.filters.data, tracks_grad((x, p.filters, p.bias)))
     out += p.bias.data
 
     def bwd(g):
-        gr = g.reshape(n, c_out, h * w)
         if p.bias.requires_grad:
             p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
         if p.filters.requires_grad:
-            gw = np.matmul(gr, cols.transpose(0, 2, 1)).sum(axis=0)
+            gw = np.matmul(g.reshape(n, c_out, h * w), cols.transpose(0, 2, 1)).sum(axis=0)
             p.filters.accumulate_grad(gw.reshape(c_out, c_in, kp, kq))
         if x.requires_grad:
-            # grad wrt input: one GEMM back to column space, then
-            # scatter-add each filter offset into the padded input grad
-            gxc = (wmat.T @ gr).reshape(n, c_in, kp * kq, h, w)
-            gxp = empty((n, c_in, h + 2 * ph, w + 2 * pw), gxc.dtype)
-            gxp.fill(0)
-            for i in range(kp):
-                for j in range(kq):
-                    gxp[:, :, i:i + h, j:j + w] += gxc[:, :, i * kq + j]
-            x.accumulate_grad(np.ascontiguousarray(gxp[:, :, ph:ph + h, pw:pw + w]),
-                              own=True)
+            # a 'same' conv's input grad: g conv the flipped filters, c_in and c_out swapped
+            flipped = np.ascontiguousarray(p.filters.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+            x.accumulate_grad(_same_conv(g, flipped, False)[0], own=True)
 
     return make_op_output(out, (x, p.filters, p.bias), bwd)
 

@@ -121,6 +121,9 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
         raise ConfigError(f"expected 2 encoder widths, got {len(channels)}")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
+    if min(channels) < 1 or in_channels < 1 or kernel < 1 or kernel % 2 == 0:
+        raise ConfigError(f"need widths and in_channels >= 1 and an odd kernel, got "
+                          f"{channels}, {in_channels}, {kernel}")
     hybrid = variant in ("re-dae", "sa-re-dae")
     dtype = np.dtype(dtype)
     if dtype not in FLOAT_DTYPES:

@@ -257,6 +257,31 @@ class TestIntegrity:
         with pytest.raises(DataError, match="class weights"):
             C.load(str(p))
 
+    @pytest.mark.parametrize("variant,kernel,widths", [("max-only", 4194305, (16, 32)),
+                                                       ("re-dae", 3, (16777216, 16))])
+    def test_topology_larger_than_the_file_is_refused_unallocated(self, tmp_path, variant,
+                                                                  kernel, widths):
+        # a header of 70-odd bytes and no tensors whose filters would take
+        # petabytes: numpy refuses them at once, so without the check load
+        # raised MemoryError
+        import tracemalloc
+        import zlib
+        name = variant.encode()
+        body = C.MAGIC + struct.pack("<HH", C.VERSION, len(name)) + name
+        body += struct.pack("<IIII", 1, kernel, 3, len(widths)) + struct.pack("<II", *widths)
+        body += np.ones(3, "<f8").tobytes() + struct.pack("<I", 0)
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        assert p.stat().st_size < 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="topology does not fit in the file"):
+                C.load(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_rewrite_helper_round_trips(self, tmp_path):
         p = self._saved(tmp_path)
         before = p.read_bytes()

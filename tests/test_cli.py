@@ -110,7 +110,8 @@ class TestTrain:
         assert "epochz" in err
 
     @pytest.mark.parametrize("line,named", [("variant=sa-redae", "sa-redae"),
-                                            ("widths=16", "2 encoder widths")])
+                                            ("widths=16", "2 encoder widths"),
+                                            ("widths=0,16", "widths and in_channels >= 1")])
     def test_unbuildable_network_in_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                           line, named):
         bad = tmp_path / "bad.cfg"
@@ -149,6 +150,20 @@ class TestEval:
         assert code == 2
 
     @pytest.mark.parametrize("oracle", [True, False])
+    def test_sample_in_both_splits_is_data_error(self, workdir, tmp_path, capsys, oracle):
+        # else the held-out scores would include an image the model trained on
+        root = str(tmp_path / "data")
+        shutil.copytree(workdir["prep"], root)
+        path = os.path.join(root, "split.manifest")
+        m = SplitManifest.load(path)
+        SplitManifest(train=m.train, test=m.test + m.train[:1], seed=m.seed,
+                      ratio=m.ratio).save(path)
+        model = ["--oracle"] if oracle else ["--ckpt", workdir["ckpt"]]
+        code, _, err = run(capsys, "eval", "--data", root, *model)
+        assert code == 3
+        assert err.startswith("error: data:") and f"{m.train[0]!r} is listed twice" in err
+
+    @pytest.mark.parametrize("oracle", [True, False])
     def test_empty_split_is_data_error(self, workdir, test_only, capsys, oracle):
         model = ["--oracle"] if oracle else ["--ckpt", workdir["ckpt"]]
         code, _, err = run(capsys, "eval", "--data", test_only, "--split", "train", *model)
@@ -181,6 +196,24 @@ class TestPredict:
                            "--image", first, "--out", str(tmp_path / "p"))
         assert code == 3
         assert "CRC" in err
+
+    def test_checkpoint_topology_too_large_for_its_file_is_data_error(self, workdir, tmp_path,
+                                                                        capsys):
+        # a kernel of 4194305 asks for petabytes of filters: without the check
+        # predict died with an uncaught MemoryError
+        import struct
+        import zlib
+        img = os.path.join(workdir["raw"], "images")
+        first = os.path.join(img, sorted(os.listdir(img))[0])
+        raw = bytearray(open(workdir["ckpt"], "rb").read()[:-4])
+        (n,) = struct.unpack_from("<H", raw, 7)  # variant length, after magic + version
+        raw[13 + n:17 + n] = struct.pack("<I", 4194305)  # kernel, after in_channels
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(bytes(raw))))
+        code, _, err = run(capsys, "predict", "--ckpt", str(bad),
+                           "--image", first, "--out", str(tmp_path / "p"))
+        assert code == 3
+        assert err.startswith("error: data:") and "topology does not fit" in err
 
     @pytest.mark.parametrize("dims", [b"-1 -1", b"0 0"])
     def test_empty_image_is_data_error(self, workdir, tmp_path, capsys, dims):

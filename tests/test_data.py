@@ -210,6 +210,15 @@ class TestSplit:
         assert back.train == m.train and back.test == m.test
         assert back.seed == m.seed and back.ratio == m.ratio
 
+    @pytest.mark.parametrize("extra", ["s1\ttrain\n", "s1\ttest\n", "s9\ttest\n"])
+    def test_manifest_listing_a_sample_twice_is_rejected(self, tmp_path, extra):
+        # s1 trains; listed again in either split, or s9 twice in the test split
+        p = tmp_path / "split.manifest"
+        p.write_text("seed=0 ratio=0.8\ns1\ttrain\ns2\ttrain\ns9\ttest\n" + extra)
+        twice = extra.split("\t")[0]
+        with pytest.raises(DataError, match=f"sample '{twice}' is listed twice"):
+            D.SplitManifest.load(str(p))
+
     def test_manifest_header_format(self, tmp_path):
         m = D.split(["a", "b", "c", "d", "e"], seed=3)
         p = tmp_path / "split.manifest"

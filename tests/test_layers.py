@@ -153,6 +153,55 @@ class TestConvBands:
         assert np.allclose(p.filters.grad, ref[None].repeat(2, axis=0), rtol=1e-4)
 
 
+class TestConvInputGrad:
+    """The 3x3 conv's input grad is itself a conv (the flipped filters over
+    the output grad), so it is checked as the adjoint of the forward at the
+    network's shapes, where it can run in row bands."""
+
+    @staticmethod
+    def _input_grad(x, filters, g, monkeypatch):
+        # x.grad of sum(conv(x) * g); records whether the grad conv banded
+        calls = []
+        real = L._same_conv
+
+        def spy(data, f, keep_cols):
+            out, cols = real(data, f, keep_cols)
+            calls.append(cols is None)
+            return out, cols
+
+        monkeypatch.setattr(L, "_same_conv", spy)
+        xt = Tensor4(x, requires_grad=True, validate=False)
+        p = L.ConvParams(Tensor4(filters, validate=False),
+                         Tensor4(np.zeros((1, filters.shape[0], 1, 1), x.dtype), validate=False))
+        with Tape():
+            out = L.conv2d(xt, p)
+            backward(sum_all(mul(out, Tensor4(g, validate=False))))
+        monkeypatch.undo()
+        assert len(calls) == 2 and not calls[0]  # the recorded forward keeps its columns
+        return out.data, xt.grad, calls[1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("c_in,c_out,size,kp,kq", [
+        (16, 32, 32, 3, 3), (32, 16, 32, 3, 3), (16, 16, 64, 3, 3), (3, 4, 9, 3, 5)])
+    def test_input_grad_is_the_adjoint(self, c_in, c_out, size, kp, kq, n, monkeypatch):
+        rng = Rng([15, c_in, c_out, size, kq, n])
+        x = rng.normal((n, c_in, size, size))
+        filters = rng.normal((c_out, c_in, kp, kq), 0.2)
+        g = rng.normal((n, c_out, size, size))
+        out, gx, _ = self._input_grad(x, filters, g, monkeypatch)
+        lhs, rhs = np.sum(out * g), np.sum(x * gx)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(out * g))
+
+        f32 = [a.astype(np.float32) for a in (x, filters, g)]
+        _, gx32, banded = self._input_grad(*f32, monkeypatch)
+        assert gx32.dtype == np.float32
+        assert np.abs(gx32 - gx).max() <= 1e-4 * np.abs(gx).max()
+        # the grad conv's input is g; it bands when its columns exceed the band size
+        assert banded == (n * c_out * kp * kq * size * (size + kq - 1) * 4 > L._BAND_BYTES)
+        if (c_in, c_out, size, n) == (16, 16, 64, 2):
+            assert banded  # a training shape at batch 2 runs in several bands
+
+
 class TestBatchNorm:
     def test_train_normalizes(self):
         rng = Rng(4)

@@ -26,6 +26,13 @@ class TestBuild:
         with pytest.raises(ConfigError):
             N.build("re-dae", (4, 6, 8), 3, Rng(0))
 
+    @pytest.mark.parametrize("widths,in_channels,kernel", [
+        ((0, 6), 1, 3), ((4, 6), 0, 3), ((4, 6), 1, 0), ((4, 6), 1, 2)])
+    def test_empty_widths_and_even_kernels_are_config_errors(self, widths, in_channels, kernel):
+        # each once reached a division by zero or a ShapeError in an initialiser
+        with pytest.raises(ConfigError, match="odd kernel"):
+            N.build("re-dae", widths, 3, Rng(0), in_channels=in_channels, kernel=kernel)
+
     def test_deterministic_init(self):
         a = small_net(seed=3)
         b = small_net(seed=3)
