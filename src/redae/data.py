@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import Rng
 
 N_CLASSES = 3  # of the mask file format
@@ -193,6 +193,13 @@ class AugmentSpec:
     scale_max: float = 1.0
     flip_horizontal: bool = True  # reflection across the vertical axis, p=0.5
     flip_vertical: bool = True  # reflection across the horizontal axis, p=0.5
+
+    def __post_init__(self):
+        if not np.isfinite(self.rotation_deg):
+            raise ConfigError(f"rotation_deg must be finite, got {self.rotation_deg}")
+        if not 0 < self.scale_min <= self.scale_max < np.inf:
+            raise ConfigError(f"need 0 < scale_min <= scale_max, both finite, "
+                              f"got {self.scale_min} and {self.scale_max}")
 
 
 def _affine_sample(image: np.ndarray, mask: np.ndarray, angle_deg: float,

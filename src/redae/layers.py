@@ -10,11 +10,14 @@ records it on the active tape. Every op computes in its input's dtype
 which a training run serves from its step arena (`BufferPool`), so none
 may outlive its step: a parameter's grad is always a fresh array. A
 backward closure owns the grad it is handed and writes into it where it can.
-Convolutions zero-pad to keep the spatial size ("same"). A 3x3 conv that
-is recorded (its backward reads every column) or whose columns fit in
-`_BAND_BYTES` builds all its im2col columns; a larger unrecorded one, such
-as the conv that computes a 3x3 conv's input grad, builds them from a
-padded-width image in row bands of at most `_BAND_BYTES`, never all at once.
+Convolutions zero-pad to keep the spatial size ("same"); one op serves
+every odd kernel size, its input grad being the conv of the output grad
+with the flipped filters. A 1x1 conv's input is its own im2col columns, so
+it never pads or bands. A larger conv that is recorded (its backward reads
+every column) or whose columns fit in `_BAND_BYTES` builds all its im2col
+columns; a larger unrecorded one, such as the conv that computes a 3x3
+conv's input grad, builds them from a padded-width image in row bands of
+at most `_BAND_BYTES`, never all at once.
 Pooling uses the paper's non-overlapping 2x2 windows with stride 2;
 max-pooling memorizes the flat index, into its input, of each window's max,
 for exact unpooling. `hybrid_pool` and `hybrid_unpool` write both branches
@@ -48,10 +51,6 @@ class ConvParams:
             raise ShapeError(f"'same' padding requires odd filter dims, got {p}x{q}")
         if self.bias.shape != (1, c_out, 1, 1):
             raise ShapeError(f"bias shape {self.bias.shape} does not match {c_out} filters")
-
-    @property
-    def c_out(self) -> int:
-        return self.filters.shape[0]
 
 
 @dataclass
@@ -132,36 +131,20 @@ class ClassWeights:
 _BAND_BYTES = 4 << 20
 
 
-def _conv2d_1x1(x: Tensor4, p: ConvParams) -> Tensor4:
-    """Fast path for 1x1 filters: a per-pixel channel mix, no im2col."""
-    n, c_in, h, w = x.shape
-    c_out = p.c_out
-    wmat = p.filters.data.reshape(c_out, c_in)
-    xm = x.data.reshape(n, c_in, h * w)
-    out = empty((n, c_out, h, w), x.data.dtype)
-    np.matmul(wmat, xm, out=out.reshape(n, c_out, h * w))
-    out += p.bias.data
-
-    def bwd(g):
-        gr = g.reshape(n, c_out, h * w)
-        if p.bias.requires_grad:
-            p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
-        if p.filters.requires_grad:
-            gw = np.matmul(gr, xm.transpose(0, 2, 1)).sum(axis=0)
-            p.filters.accumulate_grad(gw.reshape(c_out, c_in, 1, 1))
-        if x.requires_grad:
-            x.accumulate_grad((wmat.T @ gr).reshape(n, c_in, h, w), own=True)
-
-    return make_op_output(out, (x, p.filters, p.bias), bwd)
-
-
 def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
     """(out, cols): x cross-correlated with (c_out, c_in, p, q) filters, 'same', no bias.
 
     cols are all x's (n, k, h * w) im2col columns, built when `keep_cols` or when they
-    fit in `_BAND_BYTES`; otherwise None, as the columns are built in row bands."""
+    fit in `_BAND_BYTES`; otherwise None, as the columns are built in row bands. A 1x1
+    filter's columns are x itself, reshaped."""
     n, c_in, h, w = x.shape
     c_out, _, kp, kq = filters.shape
+    if kp == 1 and kq == 1:
+        out = empty((n, c_out, h, w), x.dtype)
+        cols = x.reshape(n, c_in, h * w)
+        np.matmul(filters.reshape(c_out, c_in), cols, out=out.reshape(n, c_out, h * w))
+        return out, cols
+
     ph, pw = (kp - 1) // 2, (kq - 1) // 2
     wp = w + 2 * pw
     xp = empty((n, c_in, h + 2 * ph + 1, wp), x.dtype)  # + a spare zero row for the bands
@@ -172,7 +155,7 @@ def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
     xp[:, :, ph:ph + h, pw:pw + w] = x
     k = c_in * kp * kq
     wmat = filters.reshape(c_out, k)
-    out = empty((n, c_out, h, w), x.dtype)
+    out = empty((n, c_out, h, w), x.dtype)  # after xp: taken first, it adds ~5 MB to predict's peak RSS
     bands = 1 if keep_cols else -(-n * k * h * wp * x.dtype.itemsize // _BAND_BYTES)
     if bands > 1:
         # padded-width im2col in row bands: tap (i, j)'s columns for rows r0..r0+r are the
@@ -206,9 +189,6 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     c_out, c_in_f, kp, kq = p.filters.shape
     if c_in != c_in_f:
         raise ShapeError(f"conv2d: input has {c_in} channels, filters expect {c_in_f}")
-    if kp == 1 and kq == 1:
-        return _conv2d_1x1(x, p)
-
     out, cols = _same_conv(x.data, p.filters.data, tracks_grad((x, p.filters, p.bias)))
     out += p.bias.data
 

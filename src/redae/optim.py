@@ -34,8 +34,8 @@ class TrainConfig:
     val_fraction: float = 0.1  # carve-out from training for per-epoch metrics
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 <= self.momentum < 1:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1 or self.epochs < 1:

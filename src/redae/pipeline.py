@@ -6,6 +6,7 @@ import numpy as np
 
 from .data import (AugmentSpec, Sample, SplitManifest, augment,
                    equalize_image, generate_phantoms, split)
+from .errors import ConfigError
 from .tensor import Rng
 
 
@@ -13,6 +14,8 @@ def generate_dataset(count: int, h: int, w: int, seed: int,
                      tear_fraction: float = 0.02,
                      ratio: float = 0.8) -> tuple[list[Sample], SplitManifest]:
     """Seeded phantom dataset plus its train/test manifest."""
+    if not 0 < tear_fraction < 1:
+        raise ConfigError(f"tear fraction must be in (0, 1), got {tear_fraction}")
     samples = generate_phantoms(count, h, w, Rng(seed), tear_fraction)
     manifest = split([s.id for s in samples], ratio=ratio, seed=seed)
     return samples, manifest
@@ -28,6 +31,8 @@ def preprocess(samples: dict[str, Sample], manifest: SplitManifest,
     is derived from (seed, train index, copy index) so output is independent
     of processing order.
     """
+    if augment_copies < 0:
+        raise ConfigError(f"augmented copies must be >= 0, got {augment_copies}")
     spec = spec or AugmentSpec()
     base_rng = Rng([seed, 0xA06])
     out: dict[str, Sample] = {}

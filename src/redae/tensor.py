@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AutodiffError, NumericError, ShapeError
+from .errors import AutodiffError, ConfigError, NumericError, ShapeError
 
 Shape4 = tuple[int, int, int, int]
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -266,6 +266,8 @@ class Rng:
         if isinstance(entropy, int):
             entropy = [entropy]
         self.entropy: tuple[int, ...] = tuple(int(e) for e in entropy)
+        if any(e < 0 for e in self.entropy):
+            raise ConfigError(f"seeds must be >= 0, got {list(self.entropy)}")
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(self.entropy))))
 
     def child(self, index: int) -> "Rng":

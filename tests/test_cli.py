@@ -75,6 +75,18 @@ class TestGenerate:
         assert code == 2
         assert err.startswith("error: config:")
 
+    @pytest.mark.parametrize("flag,value,named", [("--seed", "-1", "seeds must be >= 0"),
+                                                  ("--tear-frac", "-1", "tear fraction"),
+                                                  ("--tear-frac", "1", "tear fraction"),
+                                                  ("--tear-frac", "nan", "tear fraction")])
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "generate", "--out", str(out), "--count", "1",
+                           "--size", "32,32", flag, value)
+        assert code == 2
+        assert err.startswith("error: config:") and named in err
+        assert not out.exists()
+
 
 class TestPreprocess:
     def test_augmented_copies_stay_in_train_split(self, workdir):
@@ -90,6 +102,21 @@ class TestPreprocess:
                            "--out", str(tmp_path / "o"))
         assert code == 3
         assert err.startswith("error: data:")
+
+    @pytest.mark.parametrize("config,augment", [(None, "-1"), ("rotation_deg=nan", "1"),
+                                                ("scale_min=2\nscale_max=1", "1"),
+                                                ("scale_min=0", "1")],
+                             ids=["negative_copies", "nan_rotation", "min_above_max", "zero_scale"])
+    def test_bad_augmentation_is_usage_error(self, workdir, tmp_path, capsys, config, augment):
+        argv = ["preprocess", "--in", workdir["raw"], "--out", str(tmp_path / "o"),
+                "--augment", augment]
+        if config is not None:
+            (tmp_path / "aug.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "aug.cfg")]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: config:")
+        assert not (tmp_path / "o").exists()
 
 
 class TestTrain:
@@ -120,6 +147,13 @@ class TestTrain:
                            "--config", str(bad), "--out", str(tmp_path / "m.ckpt"))
         assert code == 2
         assert err.startswith("error: config:") and named in err
+
+    def test_negative_seed_is_usage_error(self, workdir, tmp_path, capsys):
+        code, _, err = run(capsys, "train", "--data", workdir["prep"], "--config", workdir["cfg"],
+                           "--seed", "-3", "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert err.startswith("error: config:") and "seeds must be >= 0" in err
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_empty_train_split_is_data_error(self, test_only, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", test_only,

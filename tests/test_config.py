@@ -59,6 +59,15 @@ class TestFromFile:
         with pytest.raises(ConfigError):
             RunConfig.from_file(str(p)).widths
 
+    @pytest.mark.parametrize("text", ["rotation_deg=nan", "scale_max=inf",
+                                      "scale_min=2\nscale_max=1", "scale_min=0"],
+                             ids=["nan_rotation", "inf_scale", "min_above_max", "zero_scale"])
+    def test_bad_augmentation_is_config_error(self, tmp_path, text):
+        p = tmp_path / "run.cfg"
+        p.write_text(text + "\n")
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(str(p)).augment_spec()
+
     def test_defaults_produce_valid_objects(self):
         cfg = RunConfig.from_file(None)
         tc = cfg.train_config()

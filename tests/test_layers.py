@@ -154,9 +154,9 @@ class TestConvBands:
 
 
 class TestConvInputGrad:
-    """The 3x3 conv's input grad is itself a conv (the flipped filters over
-    the output grad), so it is checked as the adjoint of the forward at the
-    network's shapes, where it can run in row bands."""
+    """A conv's input grad is itself a conv (the flipped filters over the
+    output grad), so it is checked as the adjoint of the forward at the
+    network's 3x3 and 1x1 shapes, where a 3x3 one can run in row bands."""
 
     @staticmethod
     def _input_grad(x, filters, g, monkeypatch):
@@ -182,7 +182,8 @@ class TestConvInputGrad:
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("c_in,c_out,size,kp,kq", [
-        (16, 32, 32, 3, 3), (32, 16, 32, 3, 3), (16, 16, 64, 3, 3), (3, 4, 9, 3, 5)])
+        (16, 32, 32, 3, 3), (32, 16, 32, 3, 3), (16, 16, 64, 3, 3), (3, 4, 9, 3, 5),
+        (32, 16, 32, 1, 1), (64, 32, 16, 1, 1), (16, 3, 64, 1, 1)])
     def test_input_grad_is_the_adjoint(self, c_in, c_out, size, kp, kq, n, monkeypatch):
         rng = Rng([15, c_in, c_out, size, kq, n])
         x = rng.normal((n, c_in, size, size))
@@ -196,8 +197,10 @@ class TestConvInputGrad:
         _, gx32, banded = self._input_grad(*f32, monkeypatch)
         assert gx32.dtype == np.float32
         assert np.abs(gx32 - gx).max() <= 1e-4 * np.abs(gx).max()
-        # the grad conv's input is g; it bands when its columns exceed the band size
-        assert banded == (n * c_out * kp * kq * size * (size + kq - 1) * 4 > L._BAND_BYTES)
+        # the grad conv's input is g; it bands when its columns exceed the band size,
+        # except at 1x1, where g is its own columns
+        assert banded == (kp * kq > 1
+                          and n * c_out * kp * kq * size * (size + kq - 1) * 4 > L._BAND_BYTES)
         if (c_in, c_out, size, n) == (16, 16, 64, 2):
             assert banded  # a training shape at batch 2 runs in several bands
 

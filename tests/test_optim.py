@@ -31,6 +31,8 @@ class TestTrainConfig:
         {"batch_size": 0},
         {"epochs": 0},
         {"val_fraction": 1.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
     ])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import redae.network as N
-from redae.errors import AutodiffError, NumericError, ShapeError
+from redae.errors import AutodiffError, ConfigError, NumericError, ShapeError
 from redae.tensor import (BufferPool, Rng, Tape, Tensor4, active_tape, astype,
                           backward, empty, grad_check)
 
@@ -319,6 +319,12 @@ class TestRng:
         r2 = Rng(5)
         assert np.array_equal(r1.child(3).normal((4,)),
                               r2.child(3).normal((4,)))
+
+    @pytest.mark.parametrize("make", [lambda: Rng(-1), lambda: Rng([3, -2]),
+                                      lambda: Rng(5).child(-1)], ids=["seed", "list", "child"])
+    def test_negative_entropy_is_config_error(self, make):
+        with pytest.raises(ConfigError, match="seeds must be >= 0"):
+            make()
 
     def test_shuffle_deterministic(self):
         xs = list(range(10))
