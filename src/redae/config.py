@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .data import AugmentSpec
 from .errors import ConfigError
@@ -12,28 +12,23 @@ from .optim import TrainConfig
 DEFAULTS: dict[str, str] = {
     "variant": "sa-re-dae",  # sa-re-dae | re-dae | max-only | avg-only
     "widths": "16,32",  # per-encoder channel widths
-    "learning_rate": "0.0001",
-    "momentum": "0.9",
-    "batch_size": "2",
-    "epochs": "30",
-    "seed": "0",
-    "shuffle": "true",
-    "log_every": "50",
-    "val_fraction": "0.1",
-    "rotation_deg": "10",
-    "scale_min": "0.5",
-    "scale_max": "1.0",
-    "flip_horizontal": "true",
-    "flip_vertical": "true",
+    **{f.name: str(f.default).lower() for spec in (TrainConfig, AugmentSpec) for f in fields(spec)},
 }
 
 
-def _parse_bool(key: str, value: str) -> bool:
-    if value.lower() in ("true", "1", "yes"):
-        return True
-    if value.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+def _parse(key: str, value: str, kind: type):
+    """`value` as the type of `key`'s default."""
+    if kind is bool:
+        if value.lower() in ("true", "1", "yes"):
+            return True
+        if value.lower() in ("false", "0", "no"):
+            return False
+    else:
+        try:
+            return kind(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -57,30 +52,15 @@ class RunConfig:
                     values[key] = value
         return RunConfig(values)
 
+    def _build(self, spec):
+        return spec(**{f.name: _parse(f.name, self.values[f.name], type(f.default))
+                       for f in fields(spec)})
+
     def train_config(self) -> TrainConfig:
-        v = self.values
-        try:
-            return TrainConfig(learning_rate=float(v["learning_rate"]),
-                               momentum=float(v["momentum"]),
-                               batch_size=int(v["batch_size"]),
-                               epochs=int(v["epochs"]),
-                               seed=int(v["seed"]),
-                               shuffle=_parse_bool("shuffle", v["shuffle"]),
-                               log_every=int(v["log_every"]),
-                               val_fraction=float(v["val_fraction"]))
-        except ValueError as e:
-            raise ConfigError(f"invalid training value: {e}") from None
+        return self._build(TrainConfig)
 
     def augment_spec(self) -> AugmentSpec:
-        v = self.values
-        try:
-            return AugmentSpec(rotation_deg=float(v["rotation_deg"]),
-                               scale_min=float(v["scale_min"]),
-                               scale_max=float(v["scale_max"]),
-                               flip_horizontal=_parse_bool("flip_horizontal", v["flip_horizontal"]),
-                               flip_vertical=_parse_bool("flip_vertical", v["flip_vertical"]))
-        except ValueError as e:
-            raise ConfigError(f"invalid augmentation value: {e}") from None
+        return self._build(AugmentSpec)
 
     @property
     def variant(self) -> str:

@@ -14,6 +14,8 @@ def generate_dataset(count: int, h: int, w: int, seed: int,
                      tear_fraction: float = 0.02,
                      ratio: float = 0.8) -> tuple[list[Sample], SplitManifest]:
     """Seeded phantom dataset plus its train/test manifest."""
+    if count < 2:
+        raise ConfigError(f"count must be >= 2 to split into train and test, got {count}")
     if not 0 < tear_fraction < 1:
         raise ConfigError(f"tear fraction must be in (0, 1), got {tear_fraction}")
     samples = generate_phantoms(count, h, w, Rng(seed), tear_fraction)
@@ -63,7 +65,9 @@ OVERLAY_COLORS = {
 }
 
 
-_PALETTE = np.zeros((256, 3))  # uint8 label -> color in [0, 1]; labels without one stay black
+# uint8 label -> color in [0, 1]. Labels past the named ones get distinct,
+# never black colors: 231 is odd, so label * 231 % 256 is a distinct nonzero red
+_PALETTE = (np.arange(256)[:, None] * (231, 57, 109) % 256) / 255.0
 _PALETTE[list(OVERLAY_COLORS)] = np.array(list(OVERLAY_COLORS.values())) / 255.0
 
 

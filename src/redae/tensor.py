@@ -17,13 +17,15 @@ memory is freed as backward runs, and afterwards only leaves (parameters and
 inputs) hold grads: every op output's grad is None.
 
 Step buffers: ops take arrays that live for one step from `empty`. Inside a
-tape opened with a `BufferPool` these come from the pool, a step arena that
-gives each step the previous step's arrays, so nothing taken in a step may
-outlive it. Anywhere else `empty` is `np.empty`.
+tape opened with a `BufferPool` these are views of the pool's byte slots, a
+step arena that gives a step's k-th take the memory of the previous step's
+k-th take, so nothing taken in a step may outlive it. Anywhere else `empty`
+is `np.empty`.
 """
 
 from __future__ import annotations
 
+import math
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -97,40 +99,34 @@ class BufferPool:
     """Step arena: the step buffers of one training run, reused across its steps.
 
     `take` returns an array of the asked shape and dtype with arbitrary
-    contents. A step never gets an array twice, and the k-th array a step
-    takes of a (shape, dtype) is the k-th one the previous step took. So
+    contents. The pool keeps one flat byte slot per take of a step, in take
+    order: the k-th take of a step is a view of slot k, which is replaced
+    only when it is too small. So a step never gets the same memory twice,
+    a step that repeats the previous step's takes reuses its memory, and
     nothing a step takes may outlive the step: the next one writes over it.
-
-    `Tape(pool)` starts a step. The first time a step needs an array the
-    pool lacks, the pool forgets every shape and dtype that step has not
-    asked for yet, so it holds about one step's buffers even when the batch
-    shape changes (a smaller last batch, images of another size).
+    `Tape(pool)` starts a step.
     """
 
     def __init__(self):
-        self._arrays: dict[tuple[tuple[int, ...], np.dtype], list[np.ndarray]] = {}
-        self._taken: dict[tuple[tuple[int, ...], np.dtype], int] = {}  # by the current step
+        self._slots: list[np.ndarray] = []
+        self._next = 0  # slot of the current step's next take
 
     def begin_step(self) -> None:
-        self._taken.clear()
+        self._next = 0
 
     def clear(self) -> None:
-        """Forget every array; those still in use live on with their users."""
-        self._arrays.clear()
-        self._taken.clear()
+        """Drop every slot; arrays still in use live on with their users."""
+        self._slots.clear()
+        self._next = 0
 
     def take(self, shape, dtype) -> np.ndarray:
-        key = (tuple(shape), np.dtype(dtype))
-        k = self._taken.get(key, 0)
-        self._taken[key] = k + 1
-        same = self._arrays.get(key, [])
-        if k < len(same):
-            return same[k]
-        if self._arrays.keys() - self._taken.keys():
-            self._arrays = {kd: v for kd, v in self._arrays.items() if kd in self._taken}
-        arr = np.empty(shape, dtype)
-        self._arrays.setdefault(key, []).append(arr)
-        return arr
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        k = self._next
+        self._next += 1
+        if k == len(self._slots) or self._slots[k].nbytes < nbytes:
+            self._slots[k:k + 1] = [np.empty(nbytes, np.uint8)]  # a new slot or a larger one
+        return self._slots[k][:nbytes].view(dtype).reshape(shape)
 
 
 class Tape:

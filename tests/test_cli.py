@@ -71,9 +71,19 @@ class TestGenerate:
 
     def test_too_small_size_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "generate", "--out", str(tmp_path / "x"),
-                           "--count", "1", "--size", "8,8")
+                           "--count", "2", "--size", "8,8")
         assert code == 2
         assert err.startswith("error: config:")
+
+    @pytest.mark.parametrize("count", ["1", "0", "-3"])
+    def test_count_below_two_is_usage_error(self, tmp_path, capsys, count):
+        # a split needs a training and a test sample; nothing is generated first
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "generate", "--out", str(out), "--count", count,
+                           "--size", "32,32")
+        assert code == 2
+        assert err.startswith("error: config:") and f"got {count}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,named", [("--seed", "-1", "seeds must be >= 0"),
                                                   ("--tear-frac", "-1", "tear fraction"),
@@ -81,7 +91,7 @@ class TestGenerate:
                                                   ("--tear-frac", "nan", "tear fraction")])
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, flag, value, named):
         out = tmp_path / "x"
-        code, _, err = run(capsys, "generate", "--out", str(out), "--count", "1",
+        code, _, err = run(capsys, "generate", "--out", str(out), "--count", "2",
                            "--size", "32,32", flag, value)
         assert code == 2
         assert err.startswith("error: config:") and named in err

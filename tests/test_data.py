@@ -299,15 +299,29 @@ class TestDatasetIO:
 
 
 def _overlay_reference(image, mask, alpha=0.5):
-    """`pipeline.overlay` as first written: per-label masks and a repeated gray image."""
-    from redae.pipeline import OVERLAY_COLORS
+    """`pipeline.overlay` as first written: per-label masks and a repeated gray image.
+
+    Labels without a named color take the palette's."""
+    from redae.pipeline import _PALETTE, OVERLAY_COLORS
     h, w = mask.shape
     base = np.repeat(image, 3, axis=2) if image.shape[2] == 1 else image
-    palette = np.zeros((h, w, 3))
+    palette = _PALETTE[mask]
     for label, color in OVERLAY_COLORS.items():
         palette[mask == label] = np.asarray(color) / 255.0
     blended = (1 - alpha) * base + alpha * palette
     return np.floor(np.clip(blended, 0, 1) * 255.0 + 0.5).astype(np.uint8)
+
+
+def test_overlay_gives_every_label_its_own_visible_color():
+    # a network with more than three classes shows them all, and the named
+    # classes keep their colors
+    from redae.pipeline import OVERLAY_COLORS, overlay
+    mask = np.arange(256, dtype=np.uint8).reshape(16, 16)
+    colors = overlay(np.zeros((16, 16, 1)), mask, alpha=1.0).reshape(256, 3)
+    assert len({tuple(c) for c in colors}) == 256
+    assert colors.max(axis=1).min() > 0
+    for label, color in OVERLAY_COLORS.items():
+        assert tuple(colors[label]) == color
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.3])

@@ -1,7 +1,6 @@
 """Optimizer update rule, training loop behavior, and evaluation."""
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +103,40 @@ def tiny_cfg(**kw):
     return O.TrainConfig(**base)
 
 
+def record_steps(monkeypatch):
+    """Routes `train`'s step arena through a recorder; returns (steps, pools).
+
+    `steps` holds, per step, the arrays it took in take order. They are kept
+    alive, so memory a pool lets go of cannot come back at the same address.
+    `pools` holds every pool `train` made.
+    """
+    steps, pools = [], []
+
+    class Pool(O.BufferPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+        def begin_step(self):
+            super().begin_step()
+            steps.append([])
+
+        def take(self, shape, dtype):
+            arr = super().take(shape, dtype)
+            steps[-1].append(arr)
+            return arr
+
+    monkeypatch.setattr(O, "BufferPool", Pool)
+    return steps, pools
+
+
+def held_before(arr, earlier):
+    """Whether `arr`'s memory lies inside that of one of the `earlier` arrays."""
+    start = arr.ctypes.data
+    return any(a.ctypes.data <= start and start + arr.nbytes <= a.ctypes.data + a.nbytes
+               for a in earlier)
+
+
 def count_folds(monkeypatch, *modules):
     """Routes each module's `fold` through a counter; returns the networks it folded.
 
@@ -168,7 +201,7 @@ class TestTrainLoop:
 
         def take_recorded(pool, shape, dtype):
             arr = take(pool, shape, dtype)
-            taken.append(id(arr))
+            taken.append(arr.ctypes.data)
             return arr
 
         monkeypatch.setattr(O.BufferPool, "take", take_recorded)
@@ -198,56 +231,43 @@ class TestTrainLoop:
                 assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_pool_holds_one_steps_buffers_across_image_sizes(self, monkeypatch):
-        # a step on the previous step's batch shape gets its arrays, in order;
-        # a step on another shape (images of another size, a smaller last
-        # batch) makes its own, and the pool forgets the old shape's
-        steps = []
-        take = O.BufferPool.take
-
-        def take_recorded(pool, shape, dtype):
-            # each take: the array, and whether the step before took it at this place
-            arr = take(pool, shape, dtype)
-            k = len(steps[-1])
-            before = steps[-2][k][0]() if len(steps) > 1 and k < len(steps[-2]) else None
-            steps[-1].append((weakref.ref(arr), arr is before))
-            return arr
-
-        pools = []
-
-        class Pool(O.BufferPool):
-            def __init__(self):
-                super().__init__()
-                pools.append(self)
-
-            def begin_step(self):
-                super().begin_step()
-                steps.append([])
-
-        monkeypatch.setattr(O, "BufferPool", Pool)
-        monkeypatch.setattr(Pool, "take", take_recorded)
-        runs = [  # samples, batch size, epochs, which steps share their arrays
-            (tiny_dataset(2, size=36) + tiny_dataset(2, size=32), 1, 1, "aabb"),
-            (tiny_dataset(3), 2, 2, "abcd"),  # each epoch ends on a batch of one
+        # a step's k-th take is a view of the slot the step before used for its
+        # k-th take, so a step on smaller images or a smaller last batch
+        # allocates nothing: every step after the first reuses the pool's memory
+        steps, pools = record_steps(monkeypatch)
+        runs = [  # samples, batch size, epochs
+            (tiny_dataset(2, size=36) + tiny_dataset(2, size=32), 1, 1),
+            (tiny_dataset(3), 2, 2),  # each epoch ends on a batch of one
         ]
-        for samples, batch_size, epochs, shared in runs:
+        for samples, batch_size, epochs in runs:
             steps.clear()
             net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
             O.train(net, samples, None, tiny_cfg(epochs=epochs, batch_size=batch_size,
                                                  shuffle=False))
-            assert len(steps) == len(shared)
-            assert not any(again for _, again in steps[0])
+            assert len(steps) == 4
             for i in range(1, len(steps)):
-                if shared[i] == shared[i - 1]:
-                    assert len(steps[i]) == len(steps[i - 1])
-                    assert all(again for _, again in steps[i])
-                else:
-                    assert not any(again for _, again in steps[i])
-            last = [r() for r, _ in steps[-1]]
-            # every array of an earlier batch shape is freed
-            assert all(r() is None for label, step in zip(shared, steps)
-                       if label != shared[-1] for r, _ in step)
-            held = [a for arrays in pools[-1]._arrays.values() for a in arrays]
-            assert sorted(map(id, held)) == sorted(map(id, last))
+                earlier = [a for step in steps[:i] for a in step]
+                assert len(steps[i]) == len(steps[0])
+                assert all(held_before(a, earlier) for a in steps[i])
+            # the pool holds the first step's buffers and nothing else
+            slots = pools[-1]._slots
+            assert [s.ctypes.data for s in slots] == [a.ctypes.data for a in steps[0]]
+            assert [s.nbytes for s in slots] == [a.nbytes for a in steps[0]]
+
+    def test_odd_count_run_allocates_nothing_after_its_first_epoch(self, monkeypatch):
+        # at batch 1 the grad conv of the last 16->16 conv fits in one band
+        # and takes one array fewer than at batch 2, so the smaller last batch
+        # shifts the takes after it and grows some slots; once both batch
+        # sizes have run, every take fits in memory the pool already holds
+        steps, pools = record_steps(monkeypatch)
+        net = N.build("sa-re-dae", (16, 32), 3, Rng(1))
+        O.train(net, tiny_dataset(3, size=64), None,
+                tiny_cfg(epochs=3, batch_size=2, shuffle=False))
+        assert len(steps) == 6
+        first_epoch = steps[0] + steps[1]
+        assert all(held_before(a, first_epoch) for step in steps[2:] for a in step)
+        full_step = sum(a.nbytes for a in steps[0])
+        assert sum(s.nbytes for s in pools[-1]._slots) <= 2 * full_step
 
     @pytest.mark.parametrize("variant", N.VARIANTS)
     def test_nothing_that_outlives_a_step_shares_the_pools_memory(self, variant, monkeypatch):
@@ -261,7 +281,7 @@ class TestTrainLoop:
                 pools.append(self)
 
         def assert_apart(lasting):
-            pooled = [a for arrays in pools[0]._arrays.values() for a in arrays]
+            pooled = pools[0]._slots
             assert pooled and lasting
             for a in lasting:
                 assert not any(np.shares_memory(a, b) for b in pooled)
