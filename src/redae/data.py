@@ -314,13 +314,13 @@ class SplitManifest:
 
 
 def split(ids, ratio: float = 0.8, seed: int = 0) -> SplitManifest:
-    """Seeded shuffle, then a prefix split with |train| = round(ratio * N)."""
+    """Seeded shuffle, then a prefix split with |train| = round(ratio * N) in [1, N - 1]."""
     ids = list(ids)
     if len(ids) < 2:
         raise DataError(f"need at least 2 samples to split, got {len(ids)}")
     rng = Rng([seed, 0x5BA1])
     rng.shuffle(ids)
-    n_train = int(np.floor(ratio * len(ids) + 0.5))
+    n_train = min(max(int(np.floor(ratio * len(ids) + 0.5)), 1), len(ids) - 1)
     return SplitManifest(train=ids[:n_train], test=ids[n_train:], seed=seed, ratio=ratio)
 
 

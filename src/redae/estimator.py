@@ -24,6 +24,8 @@ def _as_image_array(X) -> np.ndarray:
         X = X[:, :, :, None]
     if X.ndim != 4:
         raise DataError(f"X must be (N, h, w) or (N, h, w, c), got shape {X.shape}")
+    if X.size == 0:
+        raise DataError(f"X must hold at least one image of at least 1x1 pixels, got shape {X.shape}")
     return X
 
 

@@ -13,11 +13,10 @@ backward closure owns the grad it is handed and writes into it where it can.
 Convolutions zero-pad to keep the spatial size ("same"); one op serves
 every odd kernel size, its input grad being the conv of the output grad
 with the flipped filters. A 1x1 conv's input is its own im2col columns, so
-it never pads or bands. A larger conv that is recorded (its backward reads
-every column) or whose columns fit in `_BAND_BYTES` builds all its im2col
-columns; a larger unrecorded one, such as the conv that computes a 3x3
-conv's input grad, builds them from a padded-width image in row bands of
-at most `_BAND_BYTES`, never all at once.
+it never pads or bands. A larger conv copies its im2col columns out of its
+zero-padded input in row bands of at most `_BAND_BYTES`, one strided view
+per band, and multiplies each band straight into its rows of the output; a
+recorded conv builds all its columns in one band, as its backward reads them.
 Pooling uses the paper's non-overlapping 2x2 windows with stride 2;
 max-pooling memorizes the flat index, into its input, of each window's max,
 for exact unpooling. `hybrid_pool` and `hybrid_unpool` write both branches
@@ -134,8 +133,8 @@ _BAND_BYTES = 4 << 20
 def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
     """(out, cols): x cross-correlated with (c_out, c_in, p, q) filters, 'same', no bias.
 
-    cols are all x's (n, k, h * w) im2col columns, built when `keep_cols` or when they
-    fit in `_BAND_BYTES`; otherwise None, as the columns are built in row bands. A 1x1
+    cols are all x's (n, k, h * w) im2col columns if they were built in one band, as
+    they are when `keep_cols` or when they fit in `_BAND_BYTES`; otherwise None. A 1x1
     filter's columns are x itself, reshaped."""
     n, c_in, h, w = x.shape
     c_out, _, kp, kq = filters.shape
@@ -146,8 +145,7 @@ def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
         return out, cols
 
     ph, pw = (kp - 1) // 2, (kq - 1) // 2
-    wp = w + 2 * pw
-    xp = empty((n, c_in, h + 2 * ph + 1, wp), x.dtype)  # + a spare zero row for the bands
+    xp = empty((n, c_in, h + 2 * ph, w + 2 * pw), x.dtype)
     xp[:, :, :ph] = 0
     xp[:, :, ph + h:] = 0
     xp[:, :, ph:ph + h, :pw] = 0
@@ -156,31 +154,19 @@ def _same_conv(x: np.ndarray, filters: np.ndarray, keep_cols: bool):
     k = c_in * kp * kq
     wmat = filters.reshape(c_out, k)
     out = empty((n, c_out, h, w), x.dtype)  # after xp: taken first, it adds ~5 MB to predict's peak RSS
-    bands = 1 if keep_cols else -(-n * k * h * wp * x.dtype.itemsize // _BAND_BYTES)
-    if bands > 1:
-        # padded-width im2col in row bands: tap (i, j)'s columns for rows r0..r0+r are the
-        # r * wp elements of each padded plane from (r0 + i) * wp + j (the last ends in the spare row)
-        rows = -(-h // bands)
-        buf = empty((n * k * rows * wp,), x.dtype)
-        gemm = empty((n * c_out * rows * wp,), x.dtype)
-        sn, sc, _, item = xp.strides
-        for r0 in range(0, h, rows):
-            r = min(rows, h - r0)
-            cols = buf[:n * k * r * wp].reshape(n, k, r * wp)
-            cols.reshape(n, c_in, kp, kq, r * wp)[...] = as_strided(
-                xp[:, :, r0:], (n, c_in, kp, kq, r * wp), (sn, sc, wp * item, item, item))
-            band = np.matmul(wmat, cols, out=gemm[:n * c_out * r * wp].reshape(n, c_out, r * wp))
-            out[:, :, r0:r0 + r] = band.reshape(n, c_out, r, wp)[..., :w]
-        return out, None
-
-    # one band: all columns, (n, k, h * w), one shifted-slice copy per tap
-    cols = empty((n, c_in, kp * kq, h, w), x.dtype)
-    for i in range(kp):
-        for j in range(kq):
-            cols[:, :, i * kq + j] = xp[:, :, i:i + h, j:j + w]
-    cols = cols.reshape(n, k, h * w)
-    np.matmul(wmat, cols, out=out.reshape(n, c_out, h * w))
-    return out, cols
+    bands = 1 if keep_cols else -(-n * k * h * w * x.dtype.itemsize // _BAND_BYTES)
+    # tap (i, j)'s columns for output rows r0..r0+r are the r x w window of each padded
+    # plane at row r0 + i, column j, so one strided view copies every tap of a band
+    rows = -(-h // bands)
+    buf = empty((n * k * rows * w,), x.dtype)
+    sn, sc, sh, item = xp.strides
+    for r0 in range(0, h, rows):
+        r = min(rows, h - r0)
+        cols = buf[:n * k * r * w].reshape(n, k, r * w)
+        cols.reshape(n, c_in, kp, kq, r, w)[...] = as_strided(
+            xp[:, :, r0:], (n, c_in, kp, kq, r, w), (sn, sc, sh, item, sh, item))
+        np.matmul(wmat, cols, out=out[:, :, r0:r0 + r].reshape(n, c_out, r * w))
+    return out, cols if rows == h else None
 
 
 def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:

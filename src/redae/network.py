@@ -1,6 +1,7 @@
 """Two-encoder / two-decoder segmentation networks.
 
-Four variants share the conv/BN/ReLU trunk and differ in their pooling path:
+Four variants share the conv/BN/ReLU trunk and differ in their pooling path,
+which `forward` reads from `_POOLING` once per call:
 
 * ``re-dae`` / ``sa-re-dae`` - hybrid: each encoder's `hybrid_pool` writes an
   average branch and a max branch (indices memorized) into one channel
@@ -35,7 +36,16 @@ from .layers import (BatchNormParams, ClassWeights, ConvParams, avg_pool,
 from .layers import concat_channels  # noqa: F401  (perfbench's tracer wraps it here)
 from .tensor import FLOAT_DTYPES, Rng, Tensor4, astype
 
-VARIANTS = ("re-dae", "sa-re-dae", "max-only", "avg-only")
+# variant -> (down, up): down(t) pools to (t, indices or None), up(t, indices)
+# unpools. The lambdas look each op up by name when called, so patching one of
+# this module's names (as perfbench's tracer does) reaches `forward`
+_POOLING = {
+    "re-dae": (lambda t: hybrid_pool(t), lambda t, idx: hybrid_unpool(t, idx)),
+    "sa-re-dae": (lambda t: hybrid_pool(t), lambda t, idx: hybrid_unpool(t, idx)),
+    "max-only": (lambda t: max_pool(t), lambda t, idx: max_unpool(t, idx)),
+    "avg-only": (lambda t: (avg_pool(t), None), lambda t, _: avg_upsample(t)),
+}
+VARIANTS = tuple(_POOLING)
 
 
 @dataclass
@@ -224,28 +234,20 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
             f"forward: spatial dims {h}x{w} must be divisible by {factor}; "
             "use optim.segment, which pads images of any size")
 
+    down, up = _POOLING[net.variant]
     indices = []
     t = astype(x, net.dtype)
     norm = batch_norm if train else (lambda t, _: t)  # folded into the conv for inference
     for enc in net.encoders:
-        t = relu(norm(conv2d(t, enc.conv), enc.bn))
-        if net.variant == "avg-only":
-            t = avg_pool(t)
-        elif net.variant == "max-only":
-            t, idx = max_pool(t)
-            indices.append(idx)
-        else:
-            t, idx = hybrid_pool(t)
-            indices.append(idx)
+        t, idx = down(relu(norm(conv2d(t, enc.conv), enc.bn)))
+        indices.append(idx)
+        if enc.fuse is not None:
             t = conv2d(t, enc.fuse)
 
-    for i, dec in enumerate(net.decoders):
-        if net.variant == "avg-only":
-            t = avg_upsample(t)
-        elif net.variant == "max-only":
-            t = max_unpool(t, indices[-(i + 1)])
-        else:
-            t = conv2d(hybrid_unpool(t, indices[-(i + 1)]), dec.fuse)
+    for dec, idx in zip(net.decoders, reversed(indices)):
+        t = up(t, idx)
+        if dec.fuse is not None:
+            t = conv2d(t, dec.fuse)
         t = relu(norm(conv2d(t, dec.conv), dec.bn))
 
     return conv2d(t, net.head)

@@ -158,7 +158,6 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
             log.steps.append((epoch, step_no, lv, time.monotonic() - t0))
 
         if val_set:
-            pool.clear()  # evaluation allocates its own buffers
             rep, _ = evaluate(net, val_set)
             log.epoch_metrics.append((epoch, rep))
 

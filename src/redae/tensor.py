@@ -114,11 +114,6 @@ class BufferPool:
     def begin_step(self) -> None:
         self._next = 0
 
-    def clear(self) -> None:
-        """Drop every slot; arrays still in use live on with their users."""
-        self._slots.clear()
-        self._next = 0
-
     def take(self, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize

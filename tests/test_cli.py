@@ -85,6 +85,12 @@ class TestGenerate:
         assert err.startswith("error: config:") and f"got {count}" in err
         assert not out.exists()
 
+    def test_count_two_leaves_a_sample_to_evaluate(self, tmp_path, capsys):
+        out = str(tmp_path / "x")
+        assert run(capsys, "generate", "--out", out, "--count", "2", "--size", "32,32")[0] == 0
+        code, report, _ = run(capsys, "eval", "--data", out, "--oracle")
+        assert code == 0 and report.startswith("Region |")
+
     @pytest.mark.parametrize("flag,value,named", [("--seed", "-1", "seeds must be >= 0"),
                                                   ("--tear-frac", "-1", "tear fraction"),
                                                   ("--tear-frac", "1", "tear fraction"),

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import redae.data as D
 from redae.errors import DataError
+from redae.pipeline import generate_dataset
 from redae.tensor import Rng
 
 
@@ -189,6 +190,12 @@ class TestSplit:
     def test_sizes_fifteen(self):
         m = D.split([f"s{i}" for i in range(15)], seed=1)
         assert len(m.train) == 12 and len(m.test) == 3
+
+    def test_two_samples_split_one_and_one(self):
+        # round(0.8 * 2) = 2 would leave nothing to test on
+        samples, m = generate_dataset(2, 32, 32, 0)
+        assert len(m.train) == 1 and len(m.test) == 1
+        assert sorted(m.train + m.test) == sorted(s.id for s in samples)
 
     def test_partition_and_determinism(self):
         ids = [f"s{i}" for i in range(23)]

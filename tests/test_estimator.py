@@ -137,3 +137,16 @@ class TestFitPredict:
         X, y = small_xy(2)
         with pytest.raises(DataError):
             small_estimator().fit(X, y[:, :16])
+
+    @pytest.mark.parametrize("method", ["fit", "predict", "score"])
+    @pytest.mark.parametrize("shape", [(0, 8, 8), (2, 0, 5), (2, 5, 0), (1, 8, 8, 0)],
+                             ids=["no-images", "no-rows", "no-columns", "no-channels"])
+    def test_empty_images_rejected(self, method, shape):
+        # no images, or images without pixels, are refused before numpy or
+        # batch norm sees them
+        X, y = small_xy(2)
+        est = small_estimator(epochs=1).fit(X, y)
+        X = np.zeros(shape)
+        args = (X,) if method == "predict" else (X, np.zeros(shape[:3], np.uint8))
+        with pytest.raises(DataError, match="at least one image"):
+            getattr(est, method)(*args)

@@ -84,8 +84,7 @@ class TestConvForward:
 
 class TestConvBands:
     """An untracked 3x3 conv whose im2col columns exceed `_BAND_BYTES` builds
-    them in padded-width row bands; a recorded one builds all of them, as
-    backward needs."""
+    them in row bands; a recorded one builds all of them, as backward needs."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(1, 16, 304, 304), (2, 32, 152, 150)])
@@ -117,13 +116,12 @@ class TestConvBands:
         # px inputs (1 -> 16 also at 304, where it splits), at the shipped
         # band size. Not at smaller ones: a band's column count sets which
         # OpenBLAS kernel computes each column, and some kernels round
-        # differently (with 1 MiB bands the (n, k, h * w) band layout that
-        # preceded padded-width bands gave 2 of these shapes other bytes)
+        # differently (with 1 MiB bands 2 of these shapes give other bytes)
         sizes = (32, 36, 48, 64, 76, 100, 128, 152) + ((304,) if c_in == 1 else ())
         split = 0
         for size in sizes:
             for n in (1, 2):
-                split += n * c_in * 9 * size * (size + 2) * np.dtype(dtype).itemsize > L._BAND_BYTES
+                split += n * c_in * 9 * size * size * np.dtype(dtype).itemsize > L._BAND_BYTES
                 rng = Rng([14, c_in, size, n])
                 x = rng.normal((n, c_in, size, size)).astype(dtype)
                 p = L.ConvParams(
@@ -200,7 +198,7 @@ class TestConvInputGrad:
         # the grad conv's input is g; it bands when its columns exceed the band size,
         # except at 1x1, where g is its own columns
         assert banded == (kp * kq > 1
-                          and n * c_out * kp * kq * size * (size + kq - 1) * 4 > L._BAND_BYTES)
+                          and n * c_out * kp * kq * size * size * 4 > L._BAND_BYTES)
         if (c_in, c_out, size, n) == (16, 16, 64, 2):
             assert banded  # a training shape at batch 2 runs in several bands
 
