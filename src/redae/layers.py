@@ -17,10 +17,12 @@ it never pads or bands. A larger conv copies its im2col columns out of its
 zero-padded input in row bands of at most `_BAND_BYTES`, one strided view
 per band, and multiplies each band straight into its rows of the output; a
 recorded conv builds all its columns in one band, as its backward reads them.
-Pooling uses the paper's non-overlapping 2x2 windows with stride 2;
-max-pooling memorizes the flat index, into its input, of each window's max,
-for exact unpooling. `hybrid_pool` and `hybrid_unpool` write both branches
-of a hybrid block straight into one channel-concatenated map.
+Pooling uses the paper's non-overlapping 2x2 windows with stride 2. One op
+pair serves every variant: `pool` writes the window means and/or the window
+maxima, `unpool` the values put back at the maxima's memorized flat indices
+and/or replicated over each window, each into one channel-concatenated map
+(mixed pooling, Lee et al. 2016; index unpooling, SegNet). `max_pool`,
+`avg_pool`, `max_unpool` and `avg_upsample` are its single-branch calls.
 """
 
 from __future__ import annotations
@@ -256,16 +258,6 @@ def batch_norm(x: Tensor4, p: BatchNormParams) -> Tensor4:
 # Pooling
 
 
-def _pooled(x: Tensor4, name: str, branches: int = 1) -> np.ndarray:
-    """An uninitialised (n, branches * c, h/2, w/2) map to pool x into."""
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(
-            f"{name}: spatial dims {h}x{w} not divisible by window 2; "
-            "pad the input first (see data.pad_to_multiple)")
-    return empty((n, branches * c, h // 2, w // 2), x.data.dtype)
-
-
 def _window_starts(shape) -> np.ndarray:
     """Flat index of each 2x2 window's top-left element in the (n, c, 2oh, 2ow) input."""
     n, c, oh, ow = shape
@@ -341,50 +333,74 @@ def _max_2x2(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
-    """Window max with memorized flat indices; ties pick the first in row-major order."""
-    out = _pooled(x, "max_pool")
-    offsets = _max_2x2(x.data, out)
+def pool(x: Tensor4, avg: bool, mx: bool) -> tuple[Tensor4, PoolIndices | None]:
+    """Window means (if `avg`), then window maxima (if `mx`), channel-concatenated.
+
+    Returns the map and the maxima's memorized flat indices (None without `mx`);
+    ties pick the first in row-major order. The grads add in that order too.
+    """
+    n, c, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(
+            f"pool: spatial dims {h}x{w} not divisible by window 2; "
+            "pad the input first (see data.pad_to_multiple)")
+    out = empty((n, (avg + mx) * c, h // 2, w // 2), x.data.dtype)
+    if avg:
+        _avg_2x2(x.data, out[:, :c])
+    offsets = _max_2x2(x.data, out[:, c * avg:]) if mx else None
 
     def bwd(g):
         if x.requires_grad:
-            x.accumulate_grad(_scatter_2x2(g, offsets), own=True)
+            gx = _replicate_2x2(g[:, :c] / 4) if avg else None
+            if mx:
+                gm = _scatter_2x2(g[:, c * avg:], offsets)
+                gx = gm if gx is None else np.add(gx, gm, out=gx)
+            x.accumulate_grad(gx, own=True)
 
-    return make_op_output(out, (x,), bwd), PoolIndices(offsets, validate=False)
+    return make_op_output(out, (x,), bwd), PoolIndices(offsets, validate=False) if mx else None
 
 
-def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
-    """Sparse up-sampling: each window gets y's value at the memorized index."""
-    if y.shape != idx.offsets.shape:
-        raise ShapeError(f"max_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
+def unpool(y: Tensor4, idx: PoolIndices | None, avg: bool) -> Tensor4:
+    """y put back at `idx` (if given), then y replicated over each window (if `avg`).
+
+    Channel-concatenated; the first map is zero off `idx`, and the second is the
+    exact right-inverse of average pooling. The grads add in the reverse order.
+    """
+    if idx is not None and y.shape != idx.offsets.shape:
+        raise ShapeError(f"unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
+    n, c, h, w = y.shape
+    mx = idx is not None
+    out = empty((n, (mx + avg) * c, 2 * h, 2 * w), y.data.dtype)
+    if mx:
+        _scatter_2x2(y.data, idx.offsets, out[:, :c])
+    if avg:
+        _replicate_2x2(y.data, out[:, c * mx:])
 
     def bwd(g):
         if y.requires_grad:
-            y.accumulate_grad(np.take(g, idx.offsets), own=True)
+            gy = _sum_2x2(g[:, c * mx:]) if avg else None
+            if mx:
+                gm = np.take(g[:, :c], idx.offsets)
+                gy = gm if gy is None else np.add(gy, gm, out=gy)
+            y.accumulate_grad(gy, own=True)
 
-    return make_op_output(_scatter_2x2(y.data, idx.offsets), (y,), bwd)
+    return make_op_output(out, (y,), bwd)
+
+
+def max_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
+    return pool(x, False, True)
 
 
 def avg_pool(x: Tensor4) -> Tensor4:
-    """Window arithmetic mean."""
-    out = _pooled(x, "avg_pool")
-    _avg_2x2(x.data, out)
+    return pool(x, True, False)[0]
 
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(_replicate_2x2(g / 4), own=True)
 
-    return make_op_output(out, (x,), bwd)
+def max_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
+    return unpool(y, idx, False)
 
 
 def avg_upsample(y: Tensor4) -> Tensor4:
-    """Replicate each value across its 2x2 window (exact right-inverse of avg_pool)."""
-
-    def bwd(g):
-        if y.requires_grad:
-            y.accumulate_grad(_sum_2x2(g), own=True)
-
-    return make_op_output(_replicate_2x2(y.data), (y,), bwd)
+    return unpool(y, None, True)
 
 
 def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
@@ -401,40 +417,6 @@ def concat_channels(a: Tensor4, b: Tensor4) -> Tensor4:
 
     out = empty((na, ca + cb, ha, wa), np.result_type(a.data, b.data))
     return make_op_output(np.concatenate([a.data, b.data], axis=1, out=out), (a, b), bwd)
-
-
-def hybrid_pool(x: Tensor4) -> tuple[Tensor4, PoolIndices]:
-    """`concat_channels(avg_pool(x), max_pool(x))` in one buffer; grads add in that order."""
-    c = x.shape[1]
-    cat = _pooled(x, "hybrid_pool", branches=2)
-    _avg_2x2(x.data, cat[:, :c])
-    offsets = _max_2x2(x.data, cat[:, c:])
-
-    def bwd(g):
-        if x.requires_grad:
-            gx = _replicate_2x2(g[:, :c] / 4)
-            gx += _scatter_2x2(g[:, c:], offsets)
-            x.accumulate_grad(gx, own=True)
-
-    return make_op_output(cat, (x,), bwd), PoolIndices(offsets, validate=False)
-
-
-def hybrid_unpool(y: Tensor4, idx: PoolIndices) -> Tensor4:
-    """`concat_channels(max_unpool(y, idx), avg_upsample(y))` in one buffer; grads add in reverse."""
-    if y.shape != idx.offsets.shape:
-        raise ShapeError(f"hybrid_unpool: value shape {y.shape} vs index shape {idx.offsets.shape}")
-    n, c, h, w = y.shape
-    cat = empty((n, 2 * c, 2 * h, 2 * w), y.data.dtype)
-    _scatter_2x2(y.data, idx.offsets, cat[:, :c])
-    _replicate_2x2(y.data, cat[:, c:])
-
-    def bwd(g):
-        if y.requires_grad:
-            gy = _sum_2x2(g[:, c:])
-            gy += np.take(g[:, :c], idx.offsets)
-            y.accumulate_grad(gy, own=True)
-
-    return make_op_output(cat, (y,), bwd)
 
 
 # ---------------------------------------------------------------------------

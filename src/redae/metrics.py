@@ -60,15 +60,18 @@ def accumulate(counts: ConfusionCounts, pred: np.ndarray, true: np.ndarray) -> C
     true = np.asarray(true)
     if pred.shape != true.shape:
         raise ShapeError(f"mask shapes differ: {pred.shape} vs {true.shape}")
-    if pred.size and (int(pred.max()) >= counts.classes or int(true.max()) >= counts.classes):
-        raise DataError(f"mask label exceeds class count {counts.classes}")
-    for c in range(counts.classes):
-        p = pred == c
-        t = true == c
-        counts.tp[c] += int(np.count_nonzero(p & t))
-        counts.fp[c] += int(np.count_nonzero(p & ~t))
-        counts.fn[c] += int(np.count_nonzero(~p & t))
-        counts.tn[c] += int(np.count_nonzero(~p & ~t))
+    k = counts.classes
+    if pred.size and (min(pred.min(), true.min()) < 0 or max(pred.max(), true.max()) >= k):
+        raise DataError(f"mask label outside [0, {k}), the class count")
+    # one class's TP is a diagonal cell of the confusion matrix m[true, pred], its
+    # FP and FN the rest of its column and of its row
+    pairs = true.reshape(-1).astype(np.intp) * k + pred.reshape(-1)
+    m = np.bincount(pairs, minlength=k * k).reshape(k, k)
+    tp = np.diagonal(m)
+    counts.tp += tp
+    counts.fp += m.sum(axis=0) - tp
+    counts.fn += m.sum(axis=1) - tp
+    counts.tn += pred.size - m.sum(axis=0) - m.sum(axis=1) + tp
     return counts
 
 

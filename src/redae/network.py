@@ -1,12 +1,13 @@
 """Two-encoder / two-decoder segmentation networks.
 
-Four variants share the conv/BN/ReLU trunk and differ in their pooling path,
-which `forward` reads from `_POOLING` once per call:
+Four variants share the conv/BN/ReLU trunk and differ only in the row of
+`PLANS` that `build`, `forward` and `optim.train` read:
 
-* ``re-dae`` / ``sa-re-dae`` - hybrid: each encoder's `hybrid_pool` writes an
+* ``re-dae`` / ``sa-re-dae`` - hybrid: each encoder's `pool` writes an
   average branch and a max branch (indices memorized) into one channel
   concat, average first, fused by a learned 1x1 convolution. Decoders mirror
-  it with `hybrid_unpool`: index unpooling, then replication upsampling.
+  it with `unpool`: index unpooling, then replication upsampling.
+  ``sa-re-dae`` adds static attention: median-frequency class weights.
 * ``max-only`` - max pooling and index unpooling only (mini SegNet).
 * ``avg-only`` - average pooling and replication upsampling only.
 
@@ -29,23 +30,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .layers import (BatchNormParams, ClassWeights, ConvParams, avg_pool,
-                     avg_upsample, batch_norm, conv2d, hybrid_pool,
-                     hybrid_unpool, max_pool, max_unpool, relu,
-                     softmax_pixels, weighted_cross_entropy)
-from .layers import concat_channels  # noqa: F401  (perfbench's tracer wraps it here)
+from .layers import (BatchNormParams, ClassWeights, ConvParams, batch_norm,
+                     conv2d, pool, relu, softmax_pixels, unpool,
+                     weighted_cross_entropy)
+from .layers import (avg_pool, avg_upsample, concat_channels, max_pool,  # noqa: F401
+                     max_unpool)  # perfbench's tracer wraps these here
 from .tensor import FLOAT_DTYPES, Rng, Tensor4, astype
 
-# variant -> (down, up): down(t) pools to (t, indices or None), up(t, indices)
-# unpools. The lambdas look each op up by name when called, so patching one of
-# this module's names (as perfbench's tracer does) reaches `forward`
-_POOLING = {
-    "re-dae": (lambda t: hybrid_pool(t), lambda t, idx: hybrid_unpool(t, idx)),
-    "sa-re-dae": (lambda t: hybrid_pool(t), lambda t, idx: hybrid_unpool(t, idx)),
-    "max-only": (lambda t: max_pool(t), lambda t, idx: max_unpool(t, idx)),
-    "avg-only": (lambda t: (avg_pool(t), None), lambda t, _: avg_upsample(t)),
+# variant -> (average branch, max branch, static attention). With both branches
+# a block pools into one (average, max) concat that a 1x1 conv fuses; static
+# attention weights the loss by median class frequency (`optim.train`)
+PLANS = {
+    "re-dae": (True, True, False),
+    "sa-re-dae": (True, True, True),
+    "max-only": (False, True, False),
+    "avg-only": (True, False, False),
 }
-VARIANTS = tuple(_POOLING)
+VARIANTS = tuple(PLANS)
 
 
 @dataclass
@@ -134,7 +135,7 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
     if min(channels) < 1 or in_channels < 1 or kernel < 1 or kernel % 2 == 0:
         raise ConfigError(f"need widths and in_channels >= 1 and an odd kernel, got "
                           f"{channels}, {in_channels}, {kernel}")
-    hybrid = variant in ("re-dae", "sa-re-dae")
+    hybrid = all(PLANS[variant][:2])  # both branches on
     dtype = np.dtype(dtype)
     if dtype not in FLOAT_DTYPES:
         raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
@@ -234,21 +235,22 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
             f"forward: spatial dims {h}x{w} must be divisible by {factor}; "
             "use optim.segment, which pads images of any size")
 
-    down, up = _POOLING[net.variant]
+    avg, mx, _ = PLANS[net.variant]
     indices = []
     t = astype(x, net.dtype)
-    norm = batch_norm if train else (lambda t, _: t)  # folded into the conv for inference
     for enc in net.encoders:
-        t, idx = down(relu(norm(conv2d(t, enc.conv), enc.bn)))
+        t = conv2d(t, enc.conv)  # a folded copy has no BN: it is in the conv
+        t, idx = pool(relu(t if enc.bn is None else batch_norm(t, enc.bn)), avg, mx)
         indices.append(idx)
         if enc.fuse is not None:
             t = conv2d(t, enc.fuse)
 
     for dec, idx in zip(net.decoders, reversed(indices)):
-        t = up(t, idx)
+        t = unpool(t, idx, avg)
         if dec.fuse is not None:
             t = conv2d(t, dec.fuse)
-        t = relu(norm(conv2d(t, dec.conv), dec.bn))
+        t = conv2d(t, dec.conv)
+        t = relu(t if dec.bn is None else batch_norm(t, dec.bn))
 
     return conv2d(t, net.head)
 

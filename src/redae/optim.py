@@ -17,7 +17,7 @@ import numpy as np
 from . import metrics as M
 from .data import Sample, crop_mask, pad_to_multiple
 from .errors import ConfigError, NumericError
-from .network import (Network, fold, loss as net_loss, median_frequency_weights,
+from .network import (PLANS, Network, fold, loss as net_loss, median_frequency_weights,
                       named_buffers, named_parameters, predict)
 from .tensor import BufferPool, Rng, Tape, Tensor4, backward
 
@@ -118,7 +118,7 @@ def train(net: Network, train_set: list[Sample], val_set: list[Sample] | None,
     log = log or TrainLog()
     padded = [pad_to_multiple(s, net.input_multiple)[0] for s in train_set]
 
-    if net.variant == "sa-re-dae":
+    if PLANS[net.variant][2]:  # static attention
         net.class_weights = median_frequency_weights([s.mask for s in padded], net.classes)
 
     buffers = [buf for _, buf in named_buffers(net)]

@@ -79,8 +79,6 @@ class Tensor4:
                 self.grad = g
                 return
             self.grad = np.array(g, dtype=self.data.dtype)  # copy: g may be shared
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
         else:
             self.grad += g
 
@@ -213,8 +211,6 @@ def backward(loss: Tensor4) -> None:
         raise AutodiffError("loss was not produced by a recorded operation")
     if tape._consumed:
         raise AutodiffError("tape already consumed; run a new forward pass")
-    if not tape._ops:
-        raise AutodiffError("tape is empty")
     tape._consumed = True
     loss.accumulate_grad(np.ones_like(loss.data))
     ops = tape._ops

@@ -363,7 +363,8 @@ def _tied(rng, shape, dtype):
 
 
 class TestHybridOps:
-    """The hybrid ops are byte for byte the compositions the network used to run."""
+    """Both branches of `pool`/`unpool` at once are, byte for byte and grads included,
+    the concatenation of the single-branch calls the network used to run."""
 
     SIZES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 4), (8, 6)]  # pooled (h, w)
 
@@ -388,7 +389,7 @@ class TestHybridOps:
             rng = Rng([31, n, h, w])
             x = _tied(rng, (n, 3, 2 * h, 2 * w), dtype)
             g = rng.normal((n, 6, h, w)).astype(dtype)
-            (out, idx), gx = self._grad(L.hybrid_pool, x, g)
+            (out, idx), gx = self._grad(lambda t: L.pool(t, True, True), x, g)
             (ref, ref_idx), ref_gx = self._grad(composed, x, g)
             assert out.data.dtype == gx.dtype == dtype
             assert out.data.tobytes() == ref.data.tobytes(), (h, w)
@@ -403,7 +404,7 @@ class TestHybridOps:
             _, idx = L.max_pool(Tensor4(_tied(rng, (n, 3, 2 * h, 2 * w), dtype), validate=False))
             y = _tied(rng, (n, 3, h, w), dtype)
             g = rng.normal((n, 6, 2 * h, 2 * w)).astype(dtype)
-            out, gy = self._grad(lambda t: L.hybrid_unpool(t, idx), y, g)
+            out, gy = self._grad(lambda t: L.unpool(t, idx, True), y, g)
             ref, ref_gy = self._grad(
                 lambda t: L.concat_channels(L.max_unpool(t, idx), L.avg_upsample(t)), y, g)
             assert out.data.dtype == gy.dtype == dtype
@@ -412,21 +413,21 @@ class TestHybridOps:
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError, match="pad"):
-            L.hybrid_pool(Tensor4(np.ones((1, 1, 4, 3))))
+            L.pool(Tensor4(np.ones((1, 1, 4, 3))), True, True)
         _, idx = L.max_pool(Tensor4(np.ones((1, 2, 4, 4))))
         with pytest.raises(ShapeError, match="index shape"):
-            L.hybrid_unpool(Tensor4(np.ones((1, 1, 2, 2))), idx)
+            L.unpool(Tensor4(np.ones((1, 1, 2, 2))), idx, True)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["max_pool", "hybrid_pool"]),
+@given(st.integers(0, 2**32 - 1), st.booleans(),
        st.integers(1, 2), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
        st.sampled_from([np.float32, np.float64]))
-def test_pool_offsets_pass_the_window_check(seed, op, n, c, h, w, dtype):
-    # max_pool and hybrid_pool skip PoolIndices' window check; this property
-    # keeps it: every offset they return passes it
+def test_pool_offsets_pass_the_window_check(seed, avg, n, c, h, w, dtype):
+    # pool skips PoolIndices' window check, with or without the average branch;
+    # this property keeps it: every offset it returns passes it
     x = _tied(Rng(seed), (n, c, 2 * h, 2 * w), dtype)
-    _, idx = getattr(L, op)(Tensor4(x, validate=False))
+    _, idx = L.pool(Tensor4(x, validate=False), avg, True)
     L.PoolIndices(idx.offsets)
 
 
@@ -592,7 +593,7 @@ def _layer_grad_cases():
 
     def hybrid_pool_case(rng):
         def f(t):
-            y, _ = L.hybrid_pool(t)
+            y, _ = L.pool(t, True, True)
             return sum_all(mul(y, y))
         return f, rng.tensor_normal((2, 3, 8, 8))
 
@@ -600,7 +601,7 @@ def _layer_grad_cases():
         _, idx = L.max_pool(rng.tensor_normal((2, 3, 8, 8)))
 
         def f(t):
-            up = L.hybrid_unpool(t, idx)
+            up = L.unpool(t, idx, True)
             return sum_all(mul(up, up))
         return f, rng.tensor_normal((2, 3, 4, 4))
 
