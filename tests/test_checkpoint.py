@@ -202,6 +202,31 @@ class TestIntegrity:
         with pytest.raises(DataError, match="trailing"):
             C.load(str(p))
 
+    # CRC-valid files whose tensor records do not fit the topology
+    def test_unknown_tensor_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._rewrite_tensors(p, lambda ts: ([ts[0].replace(b"enc0.", b"enc9.", 1)] + ts[1:], b""))
+        with pytest.raises(DataError, match="unknown tensor 'enc9.conv.filters'"):
+            C.load(str(p))
+
+    def test_wrong_tensor_shape_rejected(self, tmp_path):
+        # enc0.conv.filters (2, 1, 3, 3) recorded as (1, 2, 3, 3): same payload size
+        p = self._saved(tmp_path)
+        head = struct.pack("<H", 17) + b"enc0.conv.filters"
+
+        def swap(ts):
+            assert ts[0][19:35] == struct.pack("<IIII", 2, 1, 3, 3)
+            return [head + struct.pack("<IIII", 1, 2, 3, 3) + ts[0][35:]] + ts[1:], b""
+        self._rewrite_tensors(p, swap)
+        with pytest.raises(DataError, match=r"'enc0.conv.filters' shape \(1, 2, 3, 3\) does not"):
+            C.load(str(p))
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        p = self._saved(tmp_path)
+        self._rewrite_tensors(p, lambda ts: (ts[:-1] + [ts[-1][:-4]], b""))
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            C.load(str(p))
+
     def test_unbuildable_variant_is_data_error(self, tmp_path):
         # a file naming a variant this version cannot build is bad data,
         # not a configuration mistake of the caller

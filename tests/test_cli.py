@@ -8,7 +8,8 @@ import pytest
 
 from redae import HybridPoolingSegmenter, checkpoint, optim
 from redae.cli import main, read_image_any
-from redae.data import SplitManifest, read_pgm, read_ppm, write_pgm
+from redae.data import (Sample, SplitManifest, read_dataset, read_pgm, read_ppm, write_dataset,
+                        write_pgm)
 
 
 def run(capsys, *argv):
@@ -135,6 +136,16 @@ class TestPreprocess:
         assert not (tmp_path / "o").exists()
 
 
+@pytest.fixture(scope="module")
+def rgb_data(workdir, tmp_path_factory):
+    """The raw dataset with every image as three channels (PPM)."""
+    root = str(tmp_path_factory.mktemp("rgb") / "data")
+    samples, manifest = read_dataset(workdir["raw"])
+    write_dataset(root, [Sample(np.repeat(s.image, 3, axis=2), s.mask, s.id)
+                         for s in samples.values()], manifest)
+    return root
+
+
 class TestTrain:
     def test_artifacts(self, workdir):
         assert os.path.isfile(workdir["ckpt"])
@@ -170,6 +181,18 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error: config:") and "seeds must be >= 0" in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_numeric_abort_keeps_the_last_good_checkpoint(self, workdir, tmp_path, capsys):
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text("epochs=2\nwidths=2,3\nlearning_rate=1e30\nval_fraction=0\n")
+        out = str(tmp_path / "m.ckpt")
+        code, _, err = run(capsys, "train", "--data", workdir["prep"], "--config", str(cfg),
+                           "--out", out)
+        assert code == 4
+        assert err.startswith("error: numeric:")
+        assert not os.path.exists(out)
+        net = checkpoint.load(out + ".lastgood")
+        assert net.variant == "sa-re-dae" and net.widths == (2, 3)
 
     def test_empty_train_split_is_data_error(self, test_only, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", test_only,
@@ -212,6 +235,15 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--data", root, *model)
         assert code == 3
         assert err.startswith("error: data:") and f"{m.train[0]!r} is listed twice" in err
+
+    def test_images_with_other_channels_are_data_error(self, workdir, rgb_data, tmp_path,
+                                                       capsys):
+        prefix = str(tmp_path / "m_")
+        code, _, err = run(capsys, "eval", "--data", rgb_data, "--ckpt", workdir["ckpt"],
+                           "--out-prefix", prefix)
+        assert code == 3
+        assert err.startswith("error: data:") and "expects 1-channel images" in err
+        assert not os.path.exists(prefix + "metrics.json")
 
     @pytest.mark.parametrize("oracle", [True, False])
     def test_empty_split_is_data_error(self, workdir, test_only, capsys, oracle):
@@ -264,6 +296,18 @@ class TestPredict:
                            "--image", first, "--out", str(tmp_path / "p"))
         assert code == 3
         assert err.startswith("error: data:") and "topology does not fit" in err
+
+    def test_image_with_other_channels_is_data_error(self, workdir, rgb_data, tmp_path,
+                                                     capsys):
+        img = os.path.join(rgb_data, "images")
+        first = os.path.join(img, sorted(os.listdir(img))[0])
+        assert first.endswith(".ppm")
+        out = str(tmp_path / "p")
+        code, _, err = run(capsys, "predict", "--ckpt", workdir["ckpt"],
+                           "--image", first, "--out", out)
+        assert code == 3
+        assert err.startswith("error: data:") and "image has 3" in err
+        assert not os.path.exists(out + "_mask.pgm")
 
     @pytest.mark.parametrize("dims", [b"-1 -1", b"0 0"])
     def test_empty_image_is_data_error(self, workdir, tmp_path, capsys, dims):

@@ -55,6 +55,18 @@ class TestNetpbm:
         with pytest.raises(DataError):
             D.read_pgm(str(p))
 
+    @pytest.mark.parametrize("read,magic", [(D.read_pgm, b"P5"), (D.read_ppm, b"P6")])
+    @pytest.mark.parametrize("header,named", [(b"", "truncated header"),
+                                              (b" 2 2", "truncated header"),
+                                              (b" 2 2\n# no maxval", "truncated header"),
+                                              (b" 2 x 255\n", "malformed header"),
+                                              (b" 2.0 2 255\n", "malformed header")])
+    def test_bad_header_is_data_error(self, tmp_path, read, magic, header, named):
+        p = tmp_path / "bad.img"
+        p.write_bytes(magic + header + b"\x00" * 12)
+        with pytest.raises(DataError, match=named):
+            read(str(p))
+
     def test_unit_bytes_round_trip(self):
         arr = np.arange(256, dtype=np.uint8).reshape(16, 16)
         assert np.array_equal(D.image_to_bytes(D.image_to_unit(arr)), arr)
@@ -226,6 +238,19 @@ class TestSplit:
         with pytest.raises(DataError, match=f"sample '{twice}' is listed twice"):
             D.SplitManifest.load(str(p))
 
+    @pytest.mark.parametrize("text,named", [
+        ("seed=x ratio=0.8\n", "malformed manifest header"),
+        ("seed=0\n", "malformed manifest header"),
+        ("seed 0 ratio 0.8\n", "malformed manifest header"),
+        ("seed=0 ratio=0.8\ns1 train\n", "malformed manifest line 's1 train'"),
+        ("seed=0 ratio=0.8\ns1\ttrain\tx\n", "malformed manifest line"),
+        ("seed=0 ratio=0.8\ns1\ttrain\ns2\tval\n", "unknown split 'val'")])
+    def test_malformed_manifest_is_data_error(self, tmp_path, text, named):
+        p = tmp_path / "split.manifest"
+        p.write_text(text)
+        with pytest.raises(DataError, match=named):
+            D.SplitManifest.load(str(p))
+
     def test_manifest_header_format(self, tmp_path):
         m = D.split(["a", "b", "c", "d", "e"], seed=3)
         p = tmp_path / "split.manifest"
@@ -299,6 +324,21 @@ class TestDatasetIO:
             assert np.array_equal(back[s.id].mask, s.mask)
             assert np.array_equal(D.image_to_bytes(back[s.id].image),
                                   D.image_to_bytes(s.image))
+
+    def test_rgb_write_read_round_trip(self, tmp_path):
+        # three-channel samples are written as PPM and read back as such
+        samples = [D.Sample(np.repeat(s.image, 3, axis=2) * [1.0, 0.5, 0.25], s.mask, s.id)
+                   for s in D.generate_phantoms(4, 32, 32, Rng(9))]
+        manifest = D.split([s.id for s in samples], seed=9)
+        root = tmp_path / "rgb"
+        D.write_dataset(str(root), samples, manifest)
+        assert sorted(f.name for f in (root / "images").iterdir()) == \
+            sorted(f"{s.id}.ppm" for s in samples)
+        back, _ = D.read_dataset(str(root))
+        for s in samples:
+            assert back[s.id].channels == 3
+            assert np.array_equal(back[s.id].mask, s.mask)
+            assert np.array_equal(D.image_to_bytes(back[s.id].image), D.image_to_bytes(s.image))
 
     def test_missing_dataset_errors(self, tmp_path):
         with pytest.raises((DataError, OSError)):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import redae.metrics as M
+from redae.errors import DataError
 from redae.tensor import Rng
 
 
@@ -112,6 +113,15 @@ class TestConventions:
         assert M.dice_frac(c, 1) == Fraction(4, 6)
         assert M.recall_frac(c, 1) == Fraction(2, 3)
         assert M.global_accuracy_frac(c) == Fraction(4, 6)
+
+    @pytest.mark.parametrize("pred,true", [([[-1, 0]], [[0, 0]]), ([[0, 0]], [[0, -1]]),
+                                           ([[3, 0]], [[0, 0]]), ([[0, 0]], [[0, 3]])])
+    def test_label_outside_the_classes_rejected(self, pred, true):
+        # a -1 used to score as a Background miss, and the report read Dice 66.7
+        c = M.ConfusionCounts(3)
+        with pytest.raises(DataError, match="outside"):
+            M.accumulate(c, np.array(pred), np.array(true))
+        assert c.tp.sum() == c.fp.sum() == c.fn.sum() == c.tn.sum() == 0
 
     def test_shape_mismatch_rejected(self):
         from redae.errors import ShapeError
