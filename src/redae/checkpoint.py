@@ -3,14 +3,18 @@
 Layout (all integers little-endian):
 
     magic  b"REDAE"
-    version u16 (currently 1)
+    version u16 (currently 2)
     variant: u16 length + utf-8 bytes
-    in_channels u32, kernel u32, classes u32
+    in_channels u32, classes u32
     widths: u32 count + u32 each
     class_weights: f64 per class
     tensors: u32 count, then per tensor
         name (u16 length + utf-8), dims u32 x4, payload f32 little-endian
     crc32 u32 of every preceding byte
+
+The tensors are `named_parameters`, then `named_buffers` as (1, c, 1, 1).
+`load` refuses every version but this one: version 1 also held a kernel
+size and the biases of the convs ahead of batch norm.
 
 Parameters and running statistics are stored in float32, the dtype the
 network trains and infers in, so a save -> load -> save round trip is
@@ -36,7 +40,7 @@ from .layers import ClassWeights
 from .network import Network, build, named_buffers, named_parameters
 
 MAGIC = b"REDAE"
-VERSION = 1
+VERSION = 2
 
 
 def _pack_str(s: str) -> bytes:
@@ -49,7 +53,7 @@ def save(net: Network, path: str) -> None:
     out += MAGIC
     out += struct.pack("<H", VERSION)
     out += _pack_str(net.variant)
-    out += struct.pack("<III", net.in_channels, net.kernel, net.classes)
+    out += struct.pack("<II", net.in_channels, net.classes)
     out += struct.pack("<I", len(net.widths))
     for wd in net.widths:
         out += struct.pack("<I", wd)
@@ -130,14 +134,14 @@ def load(path: str) -> Network:
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     variant = r.string()
-    in_channels, kernel, classes = r.unpack("<III")
+    in_channels, classes = r.unpack("<II")
     (n_widths,) = r.unpack("<I")
     widths = [r.unpack("<I")[0] for _ in range(n_widths)]
     weights = np.frombuffer(r.take(8 * classes), dtype="<f8").copy()
 
     try:
         net = build(variant, widths, classes, _ZeroDraws(path, len(raw)), in_channels=in_channels,
-                    kernel=kernel, dtype=np.float32)
+                    dtype=np.float32)
     except ConfigError as e:
         raise DataError(f"{path}: {e}") from None
     net.class_weights = ClassWeights(weights)

@@ -195,8 +195,9 @@ class AugmentSpec:
     flip_vertical: bool = True  # reflection across the horizontal axis, p=0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.rotation_deg):
-            raise ConfigError(f"rotation_deg must be finite, got {self.rotation_deg}")
+        # numpy refuses a draw from [-r, r] for r < 0, -0.0 included, or near the float max
+        if not 0 <= self.rotation_deg <= 180 or np.signbit(self.rotation_deg):
+            raise ConfigError(f"rotation_deg must be in [0, 180], got {self.rotation_deg}")
         if not 0 < self.scale_min <= self.scale_max < np.inf:
             raise ConfigError(f"need 0 < scale_min <= scale_max, both finite, "
                               f"got {self.scale_min} and {self.scale_max}")

@@ -12,11 +12,13 @@ may outlive its step: a parameter's grad is always a fresh array. A
 backward closure owns the grad it is handed and writes into it where it can.
 Convolutions zero-pad to keep the spatial size ("same"); one op serves
 every odd kernel size, its input grad being the conv of the output grad
-with the flipped filters. A 1x1 conv's input is its own im2col columns, so
-it never pads or bands. A larger conv copies its im2col columns out of its
-zero-padded input in row bands of at most `_BAND_BYTES`, one strided view
-per band, and multiplies each band straight into its rows of the output; a
-recorded conv builds all its columns in one band, as its backward reads them.
+with the flipped filters. A conv adds and trains a bias only if it has one
+(none ahead of batch norm, `network.build`). A 1x1 conv's input is its own
+im2col columns, so it never pads or bands. A larger conv copies its im2col
+columns out of its zero-padded input in row bands of at most `_BAND_BYTES`,
+one strided view per band, and multiplies each band straight into its rows
+of the output; a recorded conv builds all its columns in one band, as its
+backward reads them.
 Pooling uses the paper's non-overlapping 2x2 windows with stride 2. One op
 pair serves every variant: `pool` writes the window means and/or the window
 maxima, `unpool` the values put back at the maxima's memorized flat indices
@@ -27,7 +29,7 @@ and/or replicated over each window, each into one channel-concatenated map
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -41,16 +43,16 @@ from .tensor import Tensor4, empty, make_op_output, tracks_grad
 
 @dataclass
 class ConvParams:
-    """2D convolution parameters: filters (c_out, c_in, p, q) and bias (c_out)."""
+    """2D convolution parameters: filters (c_out, c_in, p, q) and an optional bias (c_out)."""
 
     filters: Tensor4
-    bias: Tensor4  # stored as (1, c_out, 1, 1)
+    bias: Tensor4 | None = None  # stored as (1, c_out, 1, 1)
 
     def __post_init__(self):
         c_out, _c_in, p, q = self.filters.shape
         if p % 2 == 0 or q % 2 == 0:
             raise ShapeError(f"'same' padding requires odd filter dims, got {p}x{q}")
-        if self.bias.shape != (1, c_out, 1, 1):
+        if self.bias is not None and self.bias.shape != (1, c_out, 1, 1):
             raise ShapeError(f"bias shape {self.bias.shape} does not match {c_out} filters")
 
 
@@ -59,20 +61,6 @@ class PoolIndices:
     """Flat index, into the pooled input, of each 2x2 window's max; shaped like the pooled map."""
 
     offsets: np.ndarray  # intp, shape (n, c, oh, ow)
-    validate: InitVar[bool] = True  # False skips the window check, as for `Tensor4`
-
-    def __post_init__(self, validate):
-        if self.offsets.ndim != 4:
-            raise ShapeError(f"pool indices must be rank 4, got {self.offsets.shape}")
-        if validate:
-            # an index lies in its window iff, less the window's first element,
-            # it is 0, 1, w or w + 1; w is even, so clearing bit 0 leaves 0 or w
-            w = 2 * self.offsets.shape[3]
-            rel = _window_starts(self.offsets.shape)
-            np.subtract(self.offsets, rel, out=rel)
-            rel &= -2
-            if np.count_nonzero(rel) != np.count_nonzero(rel == w):
-                raise ShapeError("pool index outside its window")
 
 
 @dataclass
@@ -178,11 +166,14 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
     c_out, c_in_f, kp, kq = p.filters.shape
     if c_in != c_in_f:
         raise ShapeError(f"conv2d: input has {c_in} channels, filters expect {c_in_f}")
-    out, cols = _same_conv(x.data, p.filters.data, tracks_grad((x, p.filters, p.bias)))
-    out += p.bias.data
+    inputs = (x, p.filters)
+    out, cols = _same_conv(x.data, p.filters.data, tracks_grad(inputs))
+    if p.bias is not None:
+        out += p.bias.data
+        inputs += (p.bias,)
 
     def bwd(g):
-        if p.bias.requires_grad:
+        if p.bias is not None and p.bias.requires_grad:
             p.bias.accumulate_grad(g.sum(axis=(0, 2, 3)).reshape(1, c_out, 1, 1))
         if p.filters.requires_grad:
             gw = np.matmul(g.reshape(n, c_out, h * w), cols.transpose(0, 2, 1)).sum(axis=0)
@@ -192,7 +183,7 @@ def conv2d(x: Tensor4, p: ConvParams) -> Tensor4:
             flipped = np.ascontiguousarray(p.filters.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
             x.accumulate_grad(_same_conv(g, flipped, False)[0], own=True)
 
-    return make_op_output(out, (x, p.filters, p.bias), bwd)
+    return make_op_output(out, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +348,7 @@ def pool(x: Tensor4, avg: bool, mx: bool) -> tuple[Tensor4, PoolIndices | None]:
                 gx = gm if gx is None else np.add(gx, gm, out=gx)
             x.accumulate_grad(gx, own=True)
 
-    return make_op_output(out, (x,), bwd), PoolIndices(offsets, validate=False) if mx else None
+    return make_op_output(out, (x,), bwd), PoolIndices(offsets) if mx else None
 
 
 def unpool(y: Tensor4, idx: PoolIndices | None, avg: bool) -> Tensor4:

@@ -20,7 +20,9 @@ A network computes in one dtype, fixed by `build`: float32 for training and
 inference, float64 for gradient checks. `forward` converts its input to that
 dtype once, so callers may pass the float64 arrays of the data pipeline.
 Blocks run conv -> BN -> ReLU in training; inference runs conv -> ReLU on
-the copy `fold` makes, each BN folded into its conv.
+the copy `fold` makes, each BN folded into its conv. Those 3x3 convs train
+no bias: BN subtracts the batch mean, which cancels one (Ioffe & Szegedy
+2015, section 3.2); the folded conv gets the bias beta - running_mean * s.
 """
 
 from __future__ import annotations
@@ -50,17 +52,12 @@ VARIANTS = tuple(PLANS)
 
 
 @dataclass
-class EncoderBlock:
-    conv: ConvParams
+class Block:
+    """Encoder: conv -> BN -> ReLU -> pool -> fuse. Decoder: unpool -> fuse -> conv -> BN -> ReLU."""
+
+    conv: ConvParams  # 3x3; no bias, as BN follows
     bn: BatchNormParams | None  # None once folded into conv
     fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
-
-
-@dataclass
-class DecoderBlock:
-    fuse: ConvParams | None  # 1x1, 2c -> c; None for single-branch variants
-    conv: ConvParams
-    bn: BatchNormParams | None  # None once folded into conv
 
 
 @dataclass
@@ -69,9 +66,8 @@ class Network:
     in_channels: int
     widths: tuple[int, ...]
     classes: int
-    kernel: int
-    encoders: list[EncoderBlock]
-    decoders: list[DecoderBlock]  # reverse order: decoders[0] mirrors encoders[-1]
+    encoders: list[Block]
+    decoders: list[Block]  # reverse order: decoders[0] mirrors encoders[-1]
     head: ConvParams
     class_weights: ClassWeights
 
@@ -90,10 +86,12 @@ def _param(values: np.ndarray, dtype) -> Tensor4:
     return Tensor4(values.astype(dtype), requires_grad=True, validate=False)
 
 
-def _he_conv(rng: Rng, c_in: int, c_out: int, k: int, dtype) -> ConvParams:
-    std = np.sqrt(2.0 / (c_in * k * k))
-    return ConvParams(_param(rng.normal((c_out, c_in, k, k), std), dtype),
-                      _param(np.zeros((1, c_out, 1, 1)), dtype))
+def _zeros(c: int, dtype) -> Tensor4:
+    return _param(np.zeros((1, c, 1, 1)), dtype)
+
+
+def _he_filters(rng: Rng, c_in: int, c_out: int, k: int, dtype) -> Tensor4:
+    return _param(rng.normal((c_out, c_in, k, k), np.sqrt(2.0 / (c_in * k * k))), dtype)
 
 
 def _blend_fuse(rng: Rng, c: int, dtype) -> ConvParams:
@@ -108,16 +106,15 @@ def _blend_fuse(rng: Rng, c: int, dtype) -> ConvParams:
     for j in range(c):
         w[j, j, 0, 0] += 0.5
         w[j, c + j, 0, 0] += 0.5
-    return ConvParams(_param(w, dtype), _param(np.zeros((1, c, 1, 1)), dtype))
+    return ConvParams(_param(w, dtype), _zeros(c, dtype))
 
 
 def _bn(c: int, dtype) -> BatchNormParams:
-    return BatchNormParams(gamma=_param(np.ones((1, c, 1, 1)), dtype),
-                           beta=_param(np.zeros((1, c, 1, 1)), dtype))
+    return BatchNormParams(gamma=_param(np.ones((1, c, 1, 1)), dtype), beta=_zeros(c, dtype))
 
 
 def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
-          kernel: int = 3, dtype=np.float32) -> Network:
+          dtype=np.float32) -> Network:
     """Construct a network with He-initialized filters, deterministic per seed.
 
     Parameters, batch-norm running statistics and (via `OptimizerState`) the
@@ -132,36 +129,25 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
         raise ConfigError(f"expected 2 encoder widths, got {len(channels)}")
     if classes < 2:
         raise ConfigError(f"need at least 2 classes, got {classes}")
-    if min(channels) < 1 or in_channels < 1 or kernel < 1 or kernel % 2 == 0:
-        raise ConfigError(f"need widths and in_channels >= 1 and an odd kernel, got "
-                          f"{channels}, {in_channels}, {kernel}")
+    if min(channels) < 1 or in_channels < 1:
+        raise ConfigError(f"need widths and in_channels >= 1, got {channels}, {in_channels}")
     hybrid = all(PLANS[variant][:2])  # both branches on
     dtype = np.dtype(dtype)
     if dtype not in FLOAT_DTYPES:
         raise ConfigError(f"dtype must be float32 or float64, got {dtype}")
 
-    encoders: list[EncoderBlock] = []
-    c_prev = in_channels
-    for c in channels:
-        fuse = _blend_fuse(rng, c, dtype) if hybrid else None
-        encoders.append(EncoderBlock(conv=_he_conv(rng, c_prev, c, kernel, dtype),
-                                     bn=_bn(c, dtype), fuse=fuse))
-        c_prev = c
+    def block(c_in: int, c_out: int, c_fuse: int) -> Block:
+        fuse = _blend_fuse(rng, c_fuse, dtype) if hybrid else None  # drawn before the conv
+        return Block(ConvParams(_he_filters(rng, c_in, c_out, 3, dtype)), _bn(c_out, dtype), fuse)
 
+    c0, c1 = channels
+    encoders = [block(in_channels, c0, c0), block(c0, c1, c1)]
     # decoders[0] mirrors encoders[-1]; the mirror of encoder 0 keeps width
-    # channels[0] so the head sees a reasonable feature count
-    decoders: list[DecoderBlock] = []
-    for i in reversed(range(len(channels))):
-        c = channels[i]
-        c_out = channels[i - 1] if i > 0 else channels[0]
-        fuse = _blend_fuse(rng, c, dtype) if hybrid else None
-        decoders.append(DecoderBlock(fuse=fuse, conv=_he_conv(rng, c, c_out, kernel, dtype),
-                                     bn=_bn(c_out, dtype)))
-
-    head = _he_conv(rng, channels[0], classes, 1, dtype)
+    # c0 so the head sees a reasonable feature count
+    decoders = [block(c1, c0, c1), block(c0, c0, c0)]
+    head = ConvParams(_he_filters(rng, c0, classes, 1, dtype), _zeros(classes, dtype))
     return Network(variant=variant, in_channels=in_channels, widths=channels,
-                   classes=classes, kernel=kernel, encoders=encoders,
-                   decoders=decoders, head=head,
+                   classes=classes, encoders=encoders, decoders=decoders, head=head,
                    class_weights=ClassWeights.unit(classes))
 
 
@@ -171,47 +157,45 @@ def _unfolded(net: Network) -> Network:
     return net
 
 
+def _blocks(net: Network) -> list[tuple[str, Block]]:
+    """Each block of an unfolded network with its tensor-name prefix, `enc{i}` or `dec{i}`."""
+    net = _unfolded(net)
+    return ([(f"enc{i}", b) for i, b in enumerate(net.encoders)]
+            + [(f"dec{i}", b) for i, b in enumerate(net.decoders)])
+
+
 def named_parameters(net: Network) -> list[tuple[str, Tensor4]]:
     """Trainable tensors in a fixed, stable order."""
     out: list[tuple[str, Tensor4]] = []
-    for i, e in enumerate(_unfolded(net).encoders):
-        out += [(f"enc{i}.conv.filters", e.conv.filters), (f"enc{i}.conv.bias", e.conv.bias),
-                (f"enc{i}.bn.gamma", e.bn.gamma), (f"enc{i}.bn.beta", e.bn.beta)]
-        if e.fuse is not None:
-            out += [(f"enc{i}.fuse.filters", e.fuse.filters), (f"enc{i}.fuse.bias", e.fuse.bias)]
-    for i, d in enumerate(net.decoders):
-        if d.fuse is not None:
-            out += [(f"dec{i}.fuse.filters", d.fuse.filters), (f"dec{i}.fuse.bias", d.fuse.bias)]
-        out += [(f"dec{i}.conv.filters", d.conv.filters), (f"dec{i}.conv.bias", d.conv.bias),
-                (f"dec{i}.bn.gamma", d.bn.gamma), (f"dec{i}.bn.beta", d.bn.beta)]
-    out += [("head.filters", net.head.filters), ("head.bias", net.head.bias)]
-    return out
+    for prefix, b in _blocks(net):
+        out += [(f"{prefix}.conv.filters", b.conv.filters),
+                (f"{prefix}.bn.gamma", b.bn.gamma), (f"{prefix}.bn.beta", b.bn.beta)]
+        if b.fuse is not None:
+            out += [(f"{prefix}.fuse.filters", b.fuse.filters), (f"{prefix}.fuse.bias", b.fuse.bias)]
+    return out + [("head.filters", net.head.filters), ("head.bias", net.head.bias)]
 
 
 def named_buffers(net: Network) -> list[tuple[str, np.ndarray]]:
     """Non-trainable state (batch-norm running statistics)."""
     out: list[tuple[str, np.ndarray]] = []
-    for i, e in enumerate(_unfolded(net).encoders):
-        out += [(f"enc{i}.bn.running_mean", e.bn.running_mean),
-                (f"enc{i}.bn.running_var", e.bn.running_var)]
-    for i, d in enumerate(net.decoders):
-        out += [(f"dec{i}.bn.running_mean", d.bn.running_mean),
-                (f"dec{i}.bn.running_var", d.bn.running_var)]
+    for prefix, b in _blocks(net):
+        out += [(f"{prefix}.bn.running_mean", b.bn.running_mean),
+                (f"{prefix}.bn.running_var", b.bn.running_var)]
     return out
 
 
 def fold(net: Network) -> Network:
     """Inference copy of `net`, each BN folded into its conv; a folded copy is returned as is.
 
-    With s = gamma / sqrt(running_var + epsilon), W' = W * s and b' = (b - running_mean) * s
-    + beta, computed in float64 and rounded once; fuse, head and class weights are shared.
+    With s = gamma / sqrt(running_var + epsilon), W' = W * s and b' = beta - running_mean * s,
+    computed in float64 and rounded once; fuse, head and class weights are shared.
     """
     if net.encoders[0].bn is None:
         return net
 
     def folded(conv: ConvParams, bn: BatchNormParams) -> ConvParams:
         s = bn.gamma.data / np.sqrt(bn.running_var.astype(np.float64).reshape(1, -1, 1, 1) + bn.epsilon)
-        b = (conv.bias.data - bn.running_mean.astype(np.float64).reshape(s.shape)) * s + bn.beta.data
+        b = bn.beta.data - bn.running_mean.astype(np.float64).reshape(s.shape) * s
         w = conv.filters.data * s.reshape(-1, 1, 1, 1)
         return ConvParams(*(Tensor4(a.astype(net.dtype), validate=False) for a in (w, b)))
 

@@ -8,7 +8,10 @@ epoch ends in a batch-1 step: the checkpoint bytes, every step's loss and
 every epoch's validation report; then the `redae predict` mask and overlay
 bytes of one 304x304 image; then the forward logits at
 36, 48 and 64 px. It prints the digest and exits 0 if it equals `EXPECTED`;
-otherwise it prints both digests and exits 1. A change that is meant to
+otherwise it prints both digests, then a short digest of each variant's
+part (checkpoint, losses, reports, predict bytes, logits per size), and
+exits 1: a diff of that listing between two trees names the parts that
+moved. A change that is meant to
 move these outputs updates `EXPECTED` in the same commit. The digest holds
 for one BLAS build on one CPU family (OpenBLAS picks its kernels per CPU),
 so this script is not part of CI.
@@ -29,11 +32,17 @@ from redae import checkpoint, cli, data, network, optim, pipeline  # noqa: E402
 from redae.tensor import Rng, Tensor4  # noqa: E402
 
 # numpy 2.4.6 with its bundled OpenBLAS 0.3.31, one thread, x86-64
-EXPECTED = "b4fad7958c5ba78a4d28a12d6bc485037b537705fc10a0bbe0b472e13322c43c"
+EXPECTED = "6e8d510b940df38bfad1eef712eaf4a44ca1e4abc0ebc65351e2cf01f8afe55a"
 
 
 def main() -> int:
     digest = hashlib.sha256()
+    parts: dict[str, hashlib._Hash] = {}  # "variant part" -> digest of that part alone
+
+    def add(variant: str, part: str, raw: bytes) -> None:
+        digest.update(raw)
+        parts.setdefault(f"{variant:<9} {part}", hashlib.sha256()).update(raw)
+
     samples, manifest = pipeline.generate_dataset(32, 64, 64, seed=7)
     processed, manifest = pipeline.preprocess({s.id: s for s in samples}, manifest, seed=7)
     train_ids, val_ids = optim.carve_validation(manifest.train, 0.2, seed=7)
@@ -45,21 +54,23 @@ def main() -> int:
             net = network.build(variant, [16, 32], 3, rng=Rng(7))
             _, log = optim.train(net, train_set, val_set, optim.TrainConfig(epochs=2, seed=7))
             checkpoint.save(net, f"{tmp}/{variant}.ckpt")
-            digest.update(Path(f"{tmp}/{variant}.ckpt").read_bytes())
-            digest.update(np.array([loss for _, _, loss, _ in log.steps]).tobytes())
+            add(variant, "checkpoint", Path(f"{tmp}/{variant}.ckpt").read_bytes())
+            add(variant, "losses", np.array([loss for _, _, loss, _ in log.steps]).tobytes())
             for _, report in log.epoch_metrics:
-                digest.update(report.to_json().encode())
+                add(variant, "reports", report.to_json().encode())
             out = f"{tmp}/{variant}"
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["predict", "--ckpt", f"{out}.ckpt", "--image",
                                  f"{tmp}/image.pgm", "--out", out]) == 0
             for suffix in ("_mask.pgm", "_overlay.ppm"):
-                digest.update(Path(out + suffix).read_bytes())
+                add(variant, "predict", Path(out + suffix).read_bytes())
             for size in (36, 48, 64):
                 x = Tensor4(Rng([9, size]).uniform(0.0, 1.0, (2, 1, size, size)))
-                digest.update(network.forward(net, x).data.tobytes())
+                add(variant, f"logits{size}", network.forward(net, x).data.tobytes())
     if digest.hexdigest() != EXPECTED:
         print(f"digest {digest.hexdigest()}\nexpected {EXPECTED}")
+        for name, h in parts.items():
+            print(f"{name:<20} {h.hexdigest()[:16]}")
         return 1
     print(digest.hexdigest())
     return 0

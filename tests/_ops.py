@@ -1,12 +1,14 @@
-"""Elementwise ops the tests use to build scalar losses for gradient checks.
+"""Elementwise ops the tests use to build scalar losses for gradient checks,
+and the check that pooling's memorized indices stay in their windows.
 
-The engine itself has no use for them; they are written the way its layers
+The engine itself has no use for them; the ops are written the way its layers
 are, on `make_op_output`, so they record on the active tape.
 """
 
 import numpy as np
 
 from redae.errors import ShapeError
+from redae.layers import _window_starts
 from redae.tensor import Tensor4, make_op_output
 
 
@@ -32,3 +34,15 @@ def sum_all(a: Tensor4) -> Tensor4:
             a.accumulate_grad(np.full_like(a.data, g.reshape(-1)[0]))
 
     return make_op_output(np.array(a.data.sum()).reshape(1, 1, 1, 1), (a,), bwd)
+
+
+def check_window_indices(offsets: np.ndarray) -> np.ndarray:
+    """`offsets` as is if each flat index lies in its own 2x2 window; else ShapeError."""
+    # an index lies in its window iff, less the window's first element,
+    # it is 0, 1, w or w + 1; w is even, so clearing bit 0 leaves 0 or w
+    w = 2 * offsets.shape[3]
+    rel = offsets - _window_starts(offsets.shape)
+    rel &= -2
+    if np.count_nonzero(rel) != np.count_nonzero(rel == w):
+        raise ShapeError("pool index outside its window")
+    return offsets

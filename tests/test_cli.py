@@ -1,13 +1,19 @@
 """End-to-end command-line workflow and exit-code contract."""
 
+import contextlib
+import io
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from redae import HybridPoolingSegmenter, checkpoint, optim
 from redae.cli import main, read_image_any
+from redae.config import DEFAULTS
 from redae.data import (Sample, SplitManifest, read_dataset, read_pgm, read_ppm, write_dataset,
                         write_pgm)
 
@@ -281,21 +287,37 @@ class TestPredict:
 
     def test_checkpoint_topology_too_large_for_its_file_is_data_error(self, workdir, tmp_path,
                                                                         capsys):
-        # a kernel of 4194305 asks for petabytes of filters: without the check
-        # predict died with an uncaught MemoryError
+        # a second width of 4194305 asks for terabytes of filters: without the
+        # check predict died with an uncaught MemoryError
         import struct
         import zlib
         img = os.path.join(workdir["raw"], "images")
         first = os.path.join(img, sorted(os.listdir(img))[0])
         raw = bytearray(open(workdir["ckpt"], "rb").read()[:-4])
         (n,) = struct.unpack_from("<H", raw, 7)  # variant length, after magic + version
-        raw[13 + n:17 + n] = struct.pack("<I", 4194305)  # kernel, after in_channels
+        # in_channels, classes and the width count, then the widths
+        assert struct.unpack_from("<I", raw, 17 + n) == (2,)
+        raw[25 + n:29 + n] = struct.pack("<I", 4194305)
         bad = tmp_path / "huge.ckpt"
         bad.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(bytes(raw))))
         code, _, err = run(capsys, "predict", "--ckpt", str(bad),
                            "--image", first, "--out", str(tmp_path / "p"))
         assert code == 3
         assert err.startswith("error: data:") and "topology does not fit" in err
+
+    def test_version_1_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        import struct
+        import zlib
+        img = os.path.join(workdir["raw"], "images")
+        first = os.path.join(img, sorted(os.listdir(img))[0])
+        raw = bytearray(open(workdir["ckpt"], "rb").read()[:-4])
+        raw[5:7] = struct.pack("<H", 1)  # the version, after the magic
+        old = tmp_path / "v1.ckpt"
+        old.write_bytes(bytes(raw) + struct.pack("<I", zlib.crc32(bytes(raw))))
+        code, _, err = run(capsys, "predict", "--ckpt", str(old),
+                           "--image", first, "--out", str(tmp_path / "p"))
+        assert code == 3
+        assert err.startswith("error: data:") and "unsupported checkpoint version 1" in err
 
     def test_image_with_other_channels_is_data_error(self, workdir, rgb_data, tmp_path,
                                                      capsys):
@@ -359,3 +381,55 @@ class TestPredict:
         assert seg.dtype == est_mask.dtype == np.uint8
         assert cli_mask.tobytes() == seg.tobytes() == est_mask.tobytes()
         assert len(np.unique(seg)) > 1  # a constant mask would agree trivially
+
+
+# values a config file or a numeric flag may carry by mistake: non-numeric,
+# non-finite, negative, zero, huge and out of range
+_BAD = ["abc", "", "nan", "inf", "-inf", "-1", "0", "-0.0", "1e400", "1e308", "2.5", "99999999999"]
+_BAD_WIDTHS = ["0,3", "-2,3", "2", "2,3,4", "nan,3", "abc", "1e400,3", ""]
+# valid values of every key, extremes included; epochs and widths stay small,
+# as a huge valid value of either asks for a long run or a huge allocation
+_GOOD = {"variant": ["sa-re-dae", "re-dae", "max-only", "avg-only"], "widths": ["2,3", "3,2"],
+         "epochs": ["1"], "learning_rate": ["1e-4", "1e-3", "1e300"],
+         "momentum": ["0", "0.9", "0.99"], "batch_size": ["1", "2", "99999999999"],
+         "seed": ["0", "99999999999"], "shuffle": ["true", "false"],
+         "log_every": ["1", "99999999999"], "val_fraction": ["0", "0.1", "0.9"],
+         "rotation_deg": ["0", "10", "1e308"], "scale_min": ["1e-300", "0.5", "1"],
+         "scale_max": ["1", "1e300"], "flip_horizontal": ["true", "no"],
+         "flip_vertical": ["false", "yes"]}
+
+
+@st.composite
+def _config(draw):
+    """A value for every key of `DEFAULTS`, up to two of them bad."""
+    bad = draw(st.sets(st.sampled_from(sorted(DEFAULTS)), max_size=2))
+    return {key: draw(st.sampled_from((_BAD_WIDTHS if key == "widths" else _BAD) if key in bad
+                                      else _GOOD[key]))
+            for key in DEFAULTS}
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:  # argparse refusing a flag's value: its usage exit
+        return e.code
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_config(), st.sampled_from([None, "-5", "3", "99999999999999999999", "x"]),
+       st.sampled_from(["-1", "0", "1", "x"]))
+def test_any_config_and_flags_exit_with_a_contract_code(workdir, values, seed, augment):
+    # every key of a generated config, through preprocess and a 1-epoch train:
+    # main exits 0, 2 (config or usage), 3 (data) or 4 (numeric), raising nothing
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w") as f:
+            f.writelines(f"{key}={value}\n" for key, value in values.items())
+        prep = os.path.join(tmp, "prep")
+        code = _exit_code(["preprocess", "--in", workdir["raw"], "--out", prep,
+                           "--config", cfg, "--augment", augment])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            argv = ["train", "--data", prep, "--config", cfg, "--out", os.path.join(tmp, "m.ckpt")]
+            assert _exit_code(argv + (["--seed", seed] if seed else [])) in (0, 2, 3, 4)

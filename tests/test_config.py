@@ -60,8 +60,10 @@ class TestFromFile:
             RunConfig.from_file(str(p)).widths
 
     @pytest.mark.parametrize("text", ["rotation_deg=nan", "scale_max=inf",
-                                      "scale_min=2\nscale_max=1", "scale_min=0"],
-                             ids=["nan_rotation", "inf_scale", "min_above_max", "zero_scale"])
+                                      "scale_min=2\nscale_max=1", "scale_min=0",
+                                      "rotation_deg=-1", "rotation_deg=-0.0", "rotation_deg=1e308"],
+                             ids=["nan_rotation", "inf_scale", "min_above_max", "zero_scale",
+                                  "negative_rotation", "negative_zero_rotation", "huge_rotation"])
     def test_bad_augmentation_is_config_error(self, tmp_path, text):
         p = tmp_path / "run.cfg"
         p.write_text(text + "\n")

@@ -15,7 +15,7 @@ import redae.network as N
 from redae.errors import DataError, ShapeError
 from redae.tensor import Rng, Tape, Tensor4, backward, grad_check
 
-from _ops import mul, sum_all
+from _ops import check_window_indices, mul, sum_all
 
 GRAD_TOL = 1e-4  # relative, central differences at eps=1e-5
 
@@ -222,15 +222,37 @@ class TestBatchNorm:
         assert np.allclose(p.running_mean, 0.1 * m)
         assert np.allclose(p.running_var, 1 + 0.1 * (v - 1))
 
+    def test_train_mode_ignores_a_per_channel_constant(self):
+        # why the convs ahead of batch norm have no bias: the batch mean takes
+        # up any per-channel shift, so a bias would move no output, and the
+        # grad it would get, each channel's input-grad sum, is zero
+        rng = Rng(7)
+        x = rng.normal((3, 4, 5, 6), 2.0)
+        g = Tensor4(rng.normal(x.shape), validate=False)
+        outs, grads = [], []
+        for data in (x, x + rng.normal((1, 4, 1, 1), 10.0)):
+            t = Tensor4(data, requires_grad=True, validate=False)
+            with Tape():
+                out = L.batch_norm(t, _bn_params(4, Rng(8)))
+                backward(sum_all(mul(out, g)))
+            outs.append(out.data)
+            grads.append(t.grad)
+        assert outs[0].dtype == np.float64
+        assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12
+        for gx in grads:
+            sums = np.abs(gx.sum(axis=(0, 2, 3)))
+            assert np.all(sums <= 1e-12 * np.abs(gx).sum(axis=(0, 2, 3)))
+
     def test_fold_matches_conv_then_running_stat_bn(self):
-        # each folded conv equals its conv followed by an inference-mode BN,
-        # (t - mean) / sqrt(var + eps) * gamma + beta, written out by hand
+        # each folded conv equals its bias-free conv followed by an
+        # inference-mode BN, (t - mean) / sqrt(var + eps) * gamma + beta,
+        # written out by hand; the fold's bias is beta - mean * s
         rng = Rng(6)
         net = N.build("sa-re-dae", (3, 4), 3, rng, dtype=np.float64)
         blocks = net.encoders + net.decoders
         for blk in blocks:
             c = blk.bn.channels
-            blk.conv.bias.data = rng.normal((1, c, 1, 1))
+            assert blk.conv.bias is None
             blk.bn.gamma.data = rng.normal((1, c, 1, 1))
             blk.bn.beta.data = rng.normal((1, c, 1, 1))
             blk.bn.running_mean[:] = rng.normal((c,), 2.0)
@@ -300,7 +322,7 @@ class TestPoolingForward:
             at = (n, c, 2 * i + window[idx] // 2, 2 * j + window[idx] % 2)
             ref[at] = values[idx]
             offsets[idx] = np.ravel_multi_index(at, ref.shape)
-        out = L._scatter_2x2(values, L.PoolIndices(offsets).offsets)
+        out = L._scatter_2x2(values, check_window_indices(offsets))
         assert out.dtype == dtype and np.array_equal(out, ref)
 
     def test_indices_outside_their_window_rejected(self):
@@ -309,12 +331,12 @@ class TestPoolingForward:
         for shift in (0, -1, -6, -7):  # to each corner of the same window
             moved = idx.offsets.copy()
             moved[1, 2, 1, 1] += shift
-            L.PoolIndices(moved)
+            check_window_indices(moved)
         for shift in (-8, -5, -2, 1, 2, 6, 12, 4 * 6, -(2**40)):
             bad = idx.offsets.copy()
             bad[1, 2, 1, 1] += shift  # into a neighbour window, or off the map
             with pytest.raises(ShapeError, match="window"):
-                L.PoolIndices(bad)
+                check_window_indices(bad)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("values", [(0.0, 1.0), (-0.0, 0.0)])
@@ -424,11 +446,11 @@ class TestHybridOps:
        st.integers(1, 2), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5),
        st.sampled_from([np.float32, np.float64]))
 def test_pool_offsets_pass_the_window_check(seed, avg, n, c, h, w, dtype):
-    # pool skips PoolIndices' window check, with or without the average branch;
-    # this property keeps it: every offset it returns passes it
+    # pool checks no index it memorizes, with or without the average branch;
+    # this property does: every offset it returns lies in its window
     x = _tied(Rng(seed), (n, c, 2 * h, 2 * w), dtype)
     _, idx = L.pool(Tensor4(x, validate=False), avg, True)
-    L.PoolIndices(idx.offsets)
+    check_window_indices(idx.offsets)
 
 
 class TestPoolingAlgebra:

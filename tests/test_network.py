@@ -1,5 +1,7 @@
 """Network assembly, forward shape laws, and structural variant properties."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,8 @@ def small_net(variant="sa-re-dae", widths=(4, 6), classes=3, seed=0):
     return N.build(variant, widths, classes, Rng(seed))
 
 
-def conv_size(c_in, c_out, k):
-    return c_out * c_in * k * k + c_out
+def conv_size(c_in, c_out, k, bias=True):
+    return c_out * c_in * k * k + bias * c_out
 
 
 class TestBuild:
@@ -26,12 +28,11 @@ class TestBuild:
         with pytest.raises(ConfigError):
             N.build("re-dae", (4, 6, 8), 3, Rng(0))
 
-    @pytest.mark.parametrize("widths,in_channels,kernel", [
-        ((0, 6), 1, 3), ((4, 6), 0, 3), ((4, 6), 1, 0), ((4, 6), 1, 2)])
-    def test_empty_widths_and_even_kernels_are_config_errors(self, widths, in_channels, kernel):
-        # each once reached a division by zero or a ShapeError in an initialiser
-        with pytest.raises(ConfigError, match="odd kernel"):
-            N.build("re-dae", widths, 3, Rng(0), in_channels=in_channels, kernel=kernel)
+    @pytest.mark.parametrize("widths,in_channels", [((0, 6), 1), ((4, 6), 0)])
+    def test_empty_widths_are_config_errors(self, widths, in_channels):
+        # each once reached a division by zero in an initialiser
+        with pytest.raises(ConfigError, match="in_channels >= 1"):
+            N.build("re-dae", widths, 3, Rng(0), in_channels=in_channels)
 
     def test_deterministic_init(self):
         a = small_net(seed=3)
@@ -43,18 +44,28 @@ class TestBuild:
     @pytest.mark.parametrize("variant", N.VARIANTS)
     def test_parameter_count_closed_form(self, variant):
         w0, w1, cls, cin, k = 4, 6, 3, 1, 3
-        net = N.build(variant, (w0, w1), cls, Rng(1), in_channels=cin, kernel=k)
-        expected = (
-            conv_size(cin, w0, k) + 2 * w0      # enc0 conv + bn
-            + conv_size(w0, w1, k) + 2 * w1     # enc1 conv + bn
-            + conv_size(w1, w0, k) + 2 * w0     # dec0 conv + bn (mirror enc1)
-            + conv_size(w0, w0, k) + 2 * w0     # dec1 conv + bn (mirror enc0)
-            + conv_size(w0, cls, 1)             # head
+        net = N.build(variant, (w0, w1), cls, Rng(1), in_channels=cin)
+        expected = (  # no conv ahead of a bn has a bias
+            conv_size(cin, w0, k, False) + 2 * w0      # enc0 conv + bn
+            + conv_size(w0, w1, k, False) + 2 * w1     # enc1 conv + bn
+            + conv_size(w1, w0, k, False) + 2 * w0     # dec0 conv + bn (mirror enc1)
+            + conv_size(w0, w0, k, False) + 2 * w0     # dec1 conv + bn (mirror enc0)
+            + conv_size(w0, cls, 1)                    # head
         )
         if variant in ("re-dae", "sa-re-dae"):
             expected += (conv_size(2 * w0, w0, 1) + conv_size(2 * w1, w1, 1)
                          + conv_size(2 * w1, w1, 1) + conv_size(2 * w0, w0, 1))
         assert sum(t.data.size for _, t in N.named_parameters(net)) == expected
+        names = [n for n, _ in N.named_parameters(net)]
+        assert len(names) == (22 if variant in ("re-dae", "sa-re-dae") else 14)
+        assert not [n for n in names if n.endswith(".conv.bias")]
+
+    def test_one_block_type_and_a_fixed_kernel(self):
+        net = small_net()
+        assert all(type(b) is N.Block for b in net.encoders + net.decoders)
+        assert all(b.conv.filters.shape[2:] == (3, 3) for b in net.encoders + net.decoders)
+        assert "kernel" not in inspect.signature(N.build).parameters
+        assert not hasattr(net, "kernel")
 
     def test_named_parameters_unique_and_stable(self):
         net = small_net()
