@@ -11,10 +11,9 @@ bytes of one 304x304 image; then the forward logits at
 otherwise it prints both digests, then a short digest of each variant's
 part (checkpoint, losses, reports, predict bytes, logits per size), and
 exits 1: a diff of that listing between two trees names the parts that
-moved. A change that is meant to
-move these outputs updates `EXPECTED` in the same commit. The digest holds
-for one BLAS build on one CPU family (OpenBLAS picks its kernels per CPU),
-so this script is not part of CI.
+moved. A change that is meant to move these outputs updates `EXPECTED` in
+the same commit. The digest holds for one BLAS build on one CPU family
+(OpenBLAS picks its kernels per CPU), so this script is not part of CI.
 """
 
 import contextlib
@@ -37,7 +36,7 @@ EXPECTED = "6e8d510b940df38bfad1eef712eaf4a44ca1e4abc0ebc65351e2cf01f8afe55a"
 
 def main() -> int:
     digest = hashlib.sha256()
-    parts: dict[str, hashlib._Hash] = {}  # "variant part" -> digest of that part alone
+    parts = {}  # "variant part" -> sha256 of that part alone
 
     def add(variant: str, part: str, raw: bytes) -> None:
         digest.update(raw)
