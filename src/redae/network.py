@@ -141,11 +141,14 @@ def build(variant: str, channels, classes: int, rng: Rng, in_channels: int = 1,
         return Block(ConvParams(_he_filters(rng, c_in, c_out, 3, dtype)), _bn(c_out, dtype), fuse)
 
     c0, c1 = channels
-    encoders = [block(in_channels, c0, c0), block(c0, c1, c1)]
-    # decoders[0] mirrors encoders[-1]; the mirror of encoder 0 keeps width
-    # c0 so the head sees a reasonable feature count
-    decoders = [block(c1, c0, c1), block(c0, c0, c0)]
-    head = ConvParams(_he_filters(rng, c0, classes, 1, dtype), _zeros(classes, dtype))
+    try:
+        encoders = [block(in_channels, c0, c0), block(c0, c1, c1)]
+        # decoders[0] mirrors encoders[-1]; the mirror of encoder 0 keeps width
+        # c0 so the head sees a reasonable feature count
+        decoders = [block(c1, c0, c1), block(c0, c0, c0)]
+        head = ConvParams(_he_filters(rng, c0, classes, 1, dtype), _zeros(classes, dtype))
+    except (MemoryError, ValueError) as e:  # numpy refusing an array this large
+        raise ConfigError(f"widths {channels} are too large to allocate: {e}") from None
     return Network(variant=variant, in_channels=in_channels, widths=channels,
                    classes=classes, encoders=encoders, decoders=decoders, head=head,
                    class_weights=ClassWeights.unit(classes))
@@ -222,15 +225,17 @@ def forward(net: Network, x: Tensor4, train: bool = False) -> Tensor4:
     avg, mx, _ = PLANS[net.variant]
     indices = []
     t = astype(x, net.dtype)
+    # rebinding t and popping each index lets inference free what it has read
     for enc in net.encoders:
         t = conv2d(t, enc.conv)  # a folded copy has no BN: it is in the conv
-        t, idx = pool(relu(t if enc.bn is None else batch_norm(t, enc.bn)), avg, mx)
+        t = relu(t if enc.bn is None else batch_norm(t, enc.bn))
+        t, idx = pool(t, avg, mx)
         indices.append(idx)
         if enc.fuse is not None:
             t = conv2d(t, enc.fuse)
 
-    for dec, idx in zip(net.decoders, reversed(indices)):
-        t = unpool(t, idx, avg)
+    for dec in net.decoders:
+        t = unpool(t, indices.pop(), avg)
         if dec.fuse is not None:
             t = conv2d(t, dec.fuse)
         t = conv2d(t, dec.conv)

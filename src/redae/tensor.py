@@ -20,12 +20,15 @@ Step buffers: ops take arrays that live for one step from `empty`. Inside a
 tape opened with a `BufferPool` these are views of the pool's byte slots, a
 step arena that gives a step's k-th take the memory of the previous step's
 k-th take, so nothing taken in a step may outlive it. Anywhere else `empty`
-is `np.empty`.
+is `np.empty`. An op's scratch, dead before the op returns, is taken inside
+a `scratch()` scope: in the arena it comes from a slot stack that the scope
+hands back when it exits, so the scratch of the ops of a step shares memory.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Callable, Sequence
 
@@ -100,26 +103,43 @@ class BufferPool:
     contents. The pool keeps one flat byte slot per take of a step, in take
     order: the k-th take of a step is a view of slot k, which is replaced
     only when it is too small. So a step never gets the same memory twice,
-    a step that repeats the previous step's takes reuses its memory, and
-    nothing a step takes may outlive the step: the next one writes over it.
-    `Tape(pool)` starts a step.
+    except for scratch, a step that repeats the previous step's takes reuses
+    its memory, and nothing a step takes may outlive the step: the next one
+    writes over it. `Tape(pool)` starts a step. Takes inside a `scratch()`
+    scope come from a second slot stack by the same rule, and the scope's
+    exit rewinds that stack, so the step's next scope gets the same memory.
     """
 
     def __init__(self):
         self._slots: list[np.ndarray] = []
         self._next = 0  # slot of the current step's next take
+        self._scratch: list[np.ndarray] = []
+        self._top: int | None = None  # scratch slot of the next take; None outside scopes
 
     def begin_step(self) -> None:
         self._next = 0
 
+    @contextmanager
+    def scratch(self):
+        outer = self._top
+        self._top = outer or 0
+        try:
+            yield
+        finally:
+            self._top = outer
+
     def take(self, shape, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)
         nbytes = math.prod(shape) * dtype.itemsize
-        k = self._next
-        self._next += 1
-        if k == len(self._slots) or self._slots[k].nbytes < nbytes:
-            self._slots[k:k + 1] = [np.empty(nbytes, np.uint8)]  # a new slot or a larger one
-        return self._slots[k][:nbytes].view(dtype).reshape(shape)
+        if self._top is None:
+            slots, k = self._slots, self._next
+            self._next += 1
+        else:
+            slots, k = self._scratch, self._top
+            self._top += 1
+        if k == len(slots) or slots[k].nbytes < nbytes:
+            slots[k:k + 1] = [np.empty(nbytes, np.uint8)]  # a new slot or a larger one
+        return slots[k][:nbytes].view(dtype).reshape(shape)
 
 
 class Tape:
@@ -168,6 +188,12 @@ def empty(shape, dtype) -> np.ndarray:
     if tape is None or tape.pool is None:
         return np.empty(shape, dtype)
     return tape.pool.take(shape, dtype)
+
+
+def scratch():
+    """A scope for buffers that die inside it: the active tape's pool's `scratch`, else a no-op."""
+    tape = _ACTIVE_TAPE.get()
+    return nullcontext() if tape is None or tape.pool is None else tape.pool.scratch()
 
 
 def tracks_grad(inputs: Sequence[Tensor4]) -> bool:

@@ -181,6 +181,18 @@ class TestTrain:
         assert code == 2
         assert err.startswith("error: config:") and named in err
 
+    @pytest.mark.parametrize("widths", ["4611686018427387904,3", "10000000,3"])
+    def test_width_too_large_to_allocate_is_usage_error(self, workdir, tmp_path, capsys, widths):
+        # numpy refuses the first fuse's filters: a ValueError for 2**62, whose
+        # dimension overflows, a MemoryError for 10**7 (1.6 PB)
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"epochs=1\nvariant=sa-re-dae\nwidths={widths}\n")
+        code, _, err = run(capsys, "train", "--data", workdir["prep"],
+                           "--config", str(bad), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert err.startswith("error: config:") and f"widths ({widths.replace(',', ', ')})" in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_negative_seed_is_usage_error(self, workdir, tmp_path, capsys):
         code, _, err = run(capsys, "train", "--data", workdir["prep"], "--config", workdir["cfg"],
                            "--seed", "-3", "--out", str(tmp_path / "m.ckpt"))
@@ -386,9 +398,12 @@ class TestPredict:
 # values a config file or a numeric flag may carry by mistake: non-numeric,
 # non-finite, negative, zero, huge and out of range
 _BAD = ["abc", "", "nan", "inf", "-inf", "-1", "0", "-0.0", "1e400", "1e308", "2.5", "99999999999"]
-_BAD_WIDTHS = ["0,3", "-2,3", "2", "2,3,4", "nan,3", "abc", "1e400,3", ""]
+# a width of 2**45 asks for a first conv or fuse of over a PiB, more than
+# any address space, so numpy refuses it whatever the variant
+_BAD_WIDTHS = ["0,3", "-2,3", "2", "2,3,4", "nan,3", "abc", "1e400,3", "",
+               f"{2**45},3", f"3,{2**45}", f"{2**62},{2**62}"]
 # valid values of every key, extremes included; epochs and widths stay small,
-# as a huge valid value of either asks for a long run or a huge allocation
+# as a huge valid value of either asks for a long run
 _GOOD = {"variant": ["sa-re-dae", "re-dae", "max-only", "avg-only"], "widths": ["2,3", "3,2"],
          "epochs": ["1"], "learning_rate": ["1e-4", "1e-3", "1e300"],
          "momentum": ["0", "0.9", "0.99"], "batch_size": ["1", "2", "99999999999"],

@@ -158,16 +158,23 @@ class TestConvInputGrad:
 
     @staticmethod
     def _input_grad(x, filters, g, monkeypatch):
-        # x.grad of sum(conv(x) * g); records whether the grad conv banded
-        calls = []
-        real = L._same_conv
+        # x.grad of sum(conv(x) * g); records whether the grad conv banded,
+        # that is built its columns with more than one strided view
+        calls, views = [], []
+        real, strided = L._same_conv, L.as_strided
 
         def spy(data, f, keep_cols):
+            views.clear()
             out, cols = real(data, f, keep_cols)
-            calls.append(cols is None)
+            calls.append((cols is not None, len(views) > 1))
             return out, cols
 
+        def count_views(*args):
+            views.append(args)
+            return strided(*args)
+
         monkeypatch.setattr(L, "_same_conv", spy)
+        monkeypatch.setattr(L, "as_strided", count_views)
         xt = Tensor4(x, requires_grad=True, validate=False)
         p = L.ConvParams(Tensor4(filters, validate=False),
                          Tensor4(np.zeros((1, filters.shape[0], 1, 1), x.dtype), validate=False))
@@ -175,8 +182,9 @@ class TestConvInputGrad:
             out = L.conv2d(xt, p)
             backward(sum_all(mul(out, Tensor4(g, validate=False))))
         monkeypatch.undo()
-        assert len(calls) == 2 and not calls[0]  # the recorded forward keeps its columns
-        return out.data, xt.grad, calls[1]
+        # the recorded forward keeps its columns, the grad conv returns none
+        assert len(calls) == 2 and calls[0] == (True, False) and not calls[1][0]
+        return out.data, xt.grad, calls[1][1]
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("c_in,c_out,size,kp,kq", [

@@ -104,13 +104,14 @@ def tiny_cfg(**kw):
 
 
 def record_steps(monkeypatch):
-    """Routes `train`'s step arena through a recorder; returns (steps, pools).
+    """Routes `train`'s step arena through a recorder; returns (steps, scoped, pools).
 
-    `steps` holds, per step, the arrays it took in take order. They are kept
-    alive, so memory a pool lets go of cannot come back at the same address.
-    `pools` holds every pool `train` made.
+    `steps` holds, per step, the arrays it took outside scratch scopes, in take
+    order, and `scoped` those it took inside one. They are kept alive, so memory
+    a pool lets go of cannot come back at the same address. `pools` holds every
+    pool `train` made.
     """
-    steps, pools = [], []
+    steps, scoped, pools = [], [], []
 
     class Pool(O.BufferPool):
         def __init__(self):
@@ -120,14 +121,24 @@ def record_steps(monkeypatch):
         def begin_step(self):
             super().begin_step()
             steps.append([])
+            scoped.append([])
 
         def take(self, shape, dtype):
             arr = super().take(shape, dtype)
-            steps[-1].append(arr)
+            (steps if self._top is None else scoped)[-1].append(arr)
             return arr
 
     monkeypatch.setattr(O, "BufferPool", Pool)
-    return steps, pools
+    return steps, scoped, pools
+
+
+def assert_holds_first_step(pool, fixed, scoped):
+    """`pool` holds the first step's takes outside scopes, in order, and as each
+    scratch slot one of that step's scratch takes: it allocated nothing later."""
+    assert [(s.ctypes.data, s.nbytes) for s in pool._slots] == [(a.ctypes.data, a.nbytes)
+                                                                for a in fixed]
+    first = {(a.ctypes.data, a.nbytes) for a in scoped}
+    assert pool._scratch and all((s.ctypes.data, s.nbytes) in first for s in pool._scratch)
 
 
 def held_before(arr, earlier):
@@ -232,49 +243,51 @@ class TestTrainLoop:
 
     def test_pool_holds_one_steps_buffers_across_image_sizes(self, monkeypatch):
         # a step's k-th take is a view of the slot the step before used for its
-        # k-th take, so a step on smaller images or a smaller last batch
-        # allocates nothing: every step after the first reuses the pool's memory
-        steps, pools = record_steps(monkeypatch)
+        # k-th take, and its scratch that of the step before, so a step on smaller
+        # images or a smaller last batch allocates nothing: every step after the
+        # first reuses the pool's memory
+        steps, scoped, pools = record_steps(monkeypatch)
         runs = [  # samples, batch size, epochs
             (tiny_dataset(2, size=36) + tiny_dataset(2, size=32), 1, 1),
             (tiny_dataset(3), 2, 2),  # each epoch ends on a batch of one
         ]
         for samples, batch_size, epochs in runs:
             steps.clear()
+            scoped.clear()
             net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
             O.train(net, samples, None, tiny_cfg(epochs=epochs, batch_size=batch_size,
                                                  shuffle=False))
             assert len(steps) == 4
             for i in range(1, len(steps)):
-                earlier = [a for step in steps[:i] for a in step]
+                earlier = [a for step in steps[:i] + scoped[:i] for a in step]
                 assert len(steps[i]) == len(steps[0])
-                assert all(held_before(a, earlier) for a in steps[i])
+                assert all(held_before(a, earlier) for a in steps[i] + scoped[i])
             # the pool holds the first step's buffers and nothing else
-            slots = pools[-1]._slots
-            assert [s.ctypes.data for s in slots] == [a.ctypes.data for a in steps[0]]
-            assert [s.nbytes for s in slots] == [a.nbytes for a in steps[0]]
+            assert_holds_first_step(pools[-1], steps[0], scoped[0])
 
     def test_odd_count_run_allocates_nothing_after_its_first_epoch(self, monkeypatch):
         # at batch 1 the grad conv of the last 16->16 conv fits in one band
         # where at batch 2 it runs in two, but a conv takes the same arrays
         # either way, so the smaller last batch takes what a full one does,
         # none larger: even its first epoch's batch-1 step allocates nothing
-        steps, pools = record_steps(monkeypatch)
+        steps, scoped, pools = record_steps(monkeypatch)
         net = N.build("sa-re-dae", (16, 32), 3, Rng(1))
         O.train(net, tiny_dataset(3, size=64), None,
                 tiny_cfg(epochs=3, batch_size=2, shuffle=False))
         assert len(steps) == 6
-        assert all(held_before(a, steps[0]) for step in steps[1:] for a in step)
-        assert sum(s.nbytes for s in pools[-1]._slots) == sum(a.nbytes for a in steps[0])
+        assert all(held_before(a, steps[0] + scoped[0])
+                   for step in steps[1:] + scoped[1:] for a in step)
+        assert_holds_first_step(pools[-1], steps[0], scoped[0])
 
     def test_validated_run_allocates_nothing_after_its_first_epoch(self, monkeypatch):
         # validation runs outside any tape, so it leaves the step arena as it is
-        steps, _ = record_steps(monkeypatch)
+        steps, scoped, _ = record_steps(monkeypatch)
         samples = tiny_dataset(4)
         net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
         _, log = O.train(net, samples[:2], samples[2:], tiny_cfg(epochs=3, batch_size=2))
         assert len(steps) == 3 and len(log.epoch_metrics) == 3
-        assert all(held_before(a, steps[0]) for step in steps[1:] for a in step)
+        assert all(held_before(a, steps[0] + scoped[0])
+                   for step in steps[1:] + scoped[1:] for a in step)
 
     @pytest.mark.parametrize("variant", N.VARIANTS)
     def test_nothing_that_outlives_a_step_shares_the_pools_memory(self, variant, monkeypatch):
@@ -411,7 +424,7 @@ class TestEvaluate:
 
 
 def test_segment_304_peak_memory():
-    # the untracked convs' banded im2col keeps this ~31 MB; whole columns took 83 MB
+    # the untracked convs' banded im2col keeps this ~20 MB; whole columns took 83 MB
     net = N.build("sa-re-dae", (16, 32), 3, Rng(0))
     image = Rng(1).uniform(0.0, 1.0, (304, 304, 1))
     tracemalloc.start()
@@ -421,6 +434,21 @@ def test_segment_304_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_folded_segment_304_peak_memory():
+    # each conv pads only its band's rows and returns no columns, and forward
+    # lets go of each activation and pooling index once it is read: 20.2 MB
+    # (27.4 MB with the whole padded input and every index held to the end)
+    net = N.fold(N.build("sa-re-dae", (16, 32), 3, Rng(0)))
+    image = Rng(1).uniform(0.0, 1.0, (304, 304, 1))
+    tracemalloc.start()
+    try:
+        O.segment(net, image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21e6
 
 
 class TestInferenceState:

@@ -1,5 +1,7 @@
 """Core tensor, tape, buffer pool and autodiff tests."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import redae.network as N
 from redae.errors import AutodiffError, ConfigError, NumericError, ShapeError
 from redae.tensor import (BufferPool, Rng, Tape, Tensor4, active_tape, astype,
-                          backward, empty, grad_check)
+                          backward, empty, grad_check, scratch)
 
 from _ops import mul, sum_all
 
@@ -220,29 +222,89 @@ class TestBufferPool:
                        for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
     def test_a_step_takes_distinct_arrays_and_the_next_step_the_same(self):
-        # a step's takes are disjoint, and the k-th take of a step that
-        # repeats the step before reuses that step's k-th take's memory
+        # a step's takes outside scratch scopes are disjoint, from each other
+        # and from its scratch; the takes of one scope are disjoint, while later
+        # scopes reuse that memory; a step that repeats the step before takes
+        # the same memory in the same order (the scratch from the second step
+        # on: within the first, a scratch slot grows when a scope needs more)
         net = N.build("sa-re-dae", (2, 3), 3, Rng(1))
         x = Rng(2).tensor_normal((2, 1, 16, 16))
         labels = np.asarray(Rng(3).integers(0, 3, (2, 16, 16)), dtype=np.int64)
         pool = BufferPool()
-        steps = []
-        take = pool.take
+        steps = []  # per step: (scope number or None, address, bytes) of each take
+        scopes = []  # per step: the number of scopes opened so far
+        take, scratch = pool.take, pool.scratch
+        inside = [None]
+
+        @contextlib.contextmanager
+        def scratch_recorded():
+            outer, inside[0] = inside[0], scopes[-1]
+            scopes[-1] += 1
+            with scratch():
+                yield
+            inside[0] = outer
 
         def take_recorded(shape, dtype):
             arr = take(shape, dtype)
-            steps[-1].append((arr.ctypes.data, arr.nbytes))
+            steps[-1].append((inside[0], arr.ctypes.data, arr.nbytes))
             return arr
 
-        pool.take = take_recorded
+        pool.take, pool.scratch = take_recorded, scratch_recorded
         for _ in range(3):
             steps.append([])
+            scopes.append(0)
             with Tape(pool):
                 backward(N.loss(net, x, labels))
-        assert len(steps[0]) > 30
-        spans = sorted((start, start + n) for start, n in steps[0] if n)
-        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
-        assert steps[1] == steps[0] and steps[2] == steps[0]
+
+        def disjoint(takes):
+            spans = sorted((start, start + n) for _, start, n in takes if n)
+            return all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+        fixed = [t for t in steps[1] if t[0] is None]
+        scoped = [t for t in steps[1] if t[0] is not None]
+        assert len(fixed) > 30 and scopes[1] > 5
+        assert disjoint(fixed)
+        assert all(disjoint(fixed + [t]) for t in scoped)
+        assert all(disjoint([t for t in scoped if t[0] == s]) for s in range(scopes[1]))
+        first_scope = {start for s, start, _ in scoped if s == 0}
+        assert any(start in first_scope for s, start, _ in scoped if s > 0)
+        assert [t for t in steps[0] if t[0] is None] == fixed
+        assert steps[2] == steps[1]
+
+    def test_a_scope_rewinds_only_its_own_scratch(self):
+        pool = BufferPool()
+        with Tape(pool):
+            before = pool.take(self.SHAPE, np.float32)
+            with pool.scratch():
+                a = pool.take(self.SHAPE, np.float32)
+                with pool.scratch():
+                    b = pool.take(self.SHAPE, np.float32)
+                with pool.scratch():
+                    assert pool.take(self.SHAPE, np.float32).ctypes.data == b.ctypes.data
+            with pool.scratch():
+                assert pool.take(self.SHAPE, np.float32).ctypes.data == a.ctypes.data
+            after = pool.take(self.SHAPE, np.float32)  # the step's second take outside a scope
+        arrays = (before, a, b, after)
+        assert not any(np.shares_memory(p, q) for i, p in enumerate(arrays) for q in arrays[i + 1:])
+        with Tape(pool):
+            assert pool.take(self.SHAPE, np.float32).ctypes.data == before.ctypes.data
+            with scratch():
+                assert pool.take(self.SHAPE, np.float32).ctypes.data == a.ctypes.data
+        with scratch():  # no tape: a no-op
+            assert not np.shares_memory(empty(self.SHAPE, np.float32), a)
+
+    def test_a_step_of_the_acceptance_network_holds_at_most_24_5_mib(self):
+        # sa-re-dae (16, 32), batch 2, 64x64: the grad convs, and the forward
+        # convs' padding, share their scratch instead of holding a slot each
+        net = N.build("sa-re-dae", (16, 32), 3, Rng(1))
+        x = Rng(2).tensor_normal((2, 1, 64, 64))
+        labels = np.asarray(Rng(3).integers(0, 3, (2, 64, 64)), dtype=np.int64)
+        pool = BufferPool()
+        for _ in range(2):
+            with Tape(pool):
+                backward(N.loss(net, x, labels))
+        held = sum(s.nbytes for s in pool._slots + pool._scratch)
+        assert pool._scratch and held <= 24.5 * 2**20
 
     def test_empty_draws_from_the_active_tapes_pool_only(self):
         pool = BufferPool()
