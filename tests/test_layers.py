@@ -159,7 +159,7 @@ class TestConvInputGrad:
     @staticmethod
     def _input_grad(x, filters, g, monkeypatch):
         # x.grad of sum(conv(x) * g); records whether the grad conv banded,
-        # that is built its columns with more than one strided view
+        # that is, built its columns with more than one strided view
         calls, views = [], []
         real, strided = L._same_conv, L.as_strided
 
